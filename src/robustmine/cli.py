@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -100,10 +101,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args, command: str, params: dict, records) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "parameters": params, "records": records}
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _emit_records(args, command: str, params: dict, records, header: str, tsv_row) -> None:
+    """A JSON document of the records, or a TSV header line and tsv_row(r) per record."""
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": command,
+               "parameters": params, "records": records}
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    else:
+        _emit(args, "\n".join([header] + [tsv_row(r) for r in records]) + "\n")
 
 
 def _items_str(items, labels=None) -> str:
@@ -122,17 +127,13 @@ def cmd_mine(args) -> int:
     db = _load_db(args)
     config = MiningConfig(kind, alpha=alpha, rho=args.rho, min_support=args.min_support,
                           max_size=args.max_size, include_empty=args.include_empty)
-    found = mine_robust(db, config)
-    if args.format == "json":
-        records = [{"items": list(m.items), "support": m.support, "robustness": m.robustness}
-                   for m in found]
-        _emit_json(args, "mine", {"predicate": kind.value, "alpha": alpha, "rho": args.rho,
-                                  "min_support": resolve_min_support(args.min_support, len(db)),
-                                  "input": str(args.input)}, records)
-    else:
-        lines = ["# itemset\tsupport\trobustness"]
-        lines += [f"{_items_str(m.items)}\t{m.support}\t{_fmt(m.robustness)}" for m in found]
-        _emit(args, "\n".join(lines) + "\n")
+    records = [{"items": list(m.items), "support": m.support, "robustness": m.robustness}
+               for m in mine_robust(db, config)]
+    _emit_records(args, "mine", {"predicate": kind.value, "alpha": alpha, "rho": args.rho,
+                                 "min_support": resolve_min_support(args.min_support, len(db)),
+                                 "input": str(args.input)}, records,
+                  "# itemset\tsupport\trobustness",
+                  lambda r: f"{_items_str(r['items'])}\t{r['support']}\t{_fmt(r['robustness'])}")
     return 0
 
 
@@ -151,34 +152,26 @@ def cmd_rank(args) -> int:
                    min_size=args.min_size, max_size=args.max_size,
                    include_empty=args.include_empty)
     closed = kind is PredicateKind.CLOSED
-    exact_flags = []
-    if closed:
-        # a row is exact unless the comparison placing it below its predecessor
-        # hinged on a coefficient outside the mined support range
-        for i, rec in enumerate(ranked):
-            exact_flags.append(i == 0 or comparison_exact(ranked[i - 1].key, rec.key))
-    if args.format == "json":
-        records = []
-        for i, rec in enumerate(ranked):
-            row = {"rank": rec.position, "items": list(rec.items),
-                   "support": rec.support, "key": rec.key.describe()}
-            if labels:
-                row["labels"] = [labels.get(j, str(j)) for j in rec.items]
-            if closed:
-                row["exact"] = exact_flags[i]
-            records.append(row)
-        _emit_json(args, "rank", {"predicate": kind.value, "top_k": args.top_k,
-                                  "min_support": resolve_min_support(args.min_support, len(db)),
-                                  "input": str(args.input)}, records)
-    else:
-        header = "# rank\titemset\tsupport\tkey" + ("\texact" if closed else "")
-        lines = [header]
-        for i, rec in enumerate(ranked):
-            row = f"{rec.position}\t{_items_str(rec.items, labels)}\t{rec.support}\t{rec.key.describe()}"
-            if closed:
-                row += "\t" + ("exact" if exact_flags[i] else "estimated")
-            lines.append(row)
-        _emit(args, "\n".join(lines) + "\n")
+    records = []
+    for i, rec in enumerate(ranked):
+        row = {"rank": rec.position, "items": list(rec.items),
+               "support": rec.support, "key": rec.key.describe()}
+        if labels:
+            row["labels"] = [labels.get(j, str(j)) for j in rec.items]
+        if closed:
+            # a row is exact unless the comparison placing it below its predecessor
+            # hinged on a coefficient outside the mined support range
+            row["exact"] = i == 0 or comparison_exact(ranked[i - 1].key, rec.key)
+        records.append(row)
+
+    def tsv_row(r) -> str:
+        row = f"{r['rank']}\t{_items_str(r['items'], labels)}\t{r['support']}\t{r['key']}"
+        return row + ("\t" + ("exact" if r["exact"] else "estimated") if closed else "")
+
+    _emit_records(args, "rank", {"predicate": kind.value, "top_k": args.top_k,
+                                 "min_support": resolve_min_support(args.min_support, len(db)),
+                                 "input": str(args.input)}, records,
+                  "# rank\titemset\tsupport\tkey" + ("\texact" if closed else ""), tsv_row)
     return 0
 
 
@@ -204,6 +197,11 @@ def cmd_verify(args) -> int:
         reference, stderr = monte_carlo_robustness(db, items, kind, alpha,
                                                    args.samples, args.seed)
         tolerance = 5.0 * stderr
+        if not stderr and analytic != reference:
+            # an estimate of exactly 0 or 1 has stderr 0, which fails on float
+            # noise: use the spread of the add-one estimate (hits + 1) / (n + 2)
+            p = (reference * args.samples + 1.0) / (args.samples + 2.0)
+            tolerance = 5.0 * math.sqrt(p * (1.0 - p) / args.samples)
         lines.append(f"monte-carlo\t{_fmt(reference)}")
         lines.append(f"stderr\t{_fmt(stderr)}")
     diff = abs(analytic - reference)
@@ -222,16 +220,12 @@ def cmd_experiment_sweep(args) -> int:
                        workers=_workers())
     except ValueError as e:
         raise CliError(2, str(e)) from None
-    if args.format == "json":
-        records = [{"alpha": a, "rho": r, "count": c} for a, r, c in result.rows()]
-        _emit_json(args, "experiment sweep", {"predicate": kind.value,
-                                              "alphas": list(result.alphas),
-                                              "rhos": list(result.rhos),
-                                              "input": str(args.input)}, records)
-    else:
-        lines = ["# alpha\trho\tcount"]
-        lines += [f"{_fmt(a)}\t{_fmt(r)}\t{c}" for a, r, c in result.rows()]
-        _emit(args, "\n".join(lines) + "\n")
+    _emit_records(args, "experiment sweep",
+                  {"predicate": kind.value, "alphas": list(result.alphas),
+                   "rhos": list(result.rhos), "input": str(args.input)},
+                  [{"alpha": a, "rho": r, "count": c} for a, r, c in result.rows()],
+                  "# alpha\trho\tcount",
+                  lambda r: f"{_fmt(r['alpha'])}\t{_fmt(r['rho'])}\t{r['count']}")
     return 0
 
 
@@ -245,19 +239,14 @@ def cmd_experiment_noise(args) -> int:
     noisy = [items for items, _ in _closed_ranking(noise_mix(db, args.eta, args.seed), tau)]
     scores = compliance(original, noisy)
     noisy_pos = {items: j for j, items in enumerate(noisy, start=1)}
-    if args.format == "json":
-        records = [{"position": i, "items": list(items),
-                    "noisy_position": noisy_pos.get(items), "compliance": s}
-                   for i, (items, s) in enumerate(zip(original, scores), start=1)]
-        _emit_json(args, "experiment noise", {"eta": args.eta, "seed": args.seed,
-                                              "min_support": tau,
-                                              "input": str(args.input)}, records)
-    else:
-        lines = ["# position\titemset\tnoisy_position\tcompliance"]
-        for i, (items, s) in enumerate(zip(original, scores), start=1):
-            j = noisy_pos.get(items)
-            lines.append(f"{i}\t{_items_str(items)}\t{j if j else '-'}\t{_fmt(s)}")
-        _emit(args, "\n".join(lines) + "\n")
+    records = [{"position": i, "items": list(items),
+                "noisy_position": noisy_pos.get(items), "compliance": s}
+               for i, (items, s) in enumerate(zip(original, scores), start=1)]
+    _emit_records(args, "experiment noise", {"eta": args.eta, "seed": args.seed,
+                                             "min_support": tau, "input": str(args.input)},
+                  records, "# position\titemset\tnoisy_position\tcompliance",
+                  lambda r: f"{r['position']}\t{_items_str(r['items'])}\t"
+                            f"{r['noisy_position'] or '-'}\t{_fmt(r['compliance'])}")
     return 0
 
 
@@ -288,14 +277,11 @@ def cmd_experiment_rank_distance(args) -> int:
         dist = rank_distance(buckets, order)
     except ValueError as e:
         raise CliError(2, str(e)) from None
-    if args.format == "json":
-        _emit_json(args, "experiment rank-distance",
-                   {"predicate": kind.value, "alpha": alpha, "min_support": tau,
-                    "itemsets": len(members), "input": str(args.input)},
-                   [{"distance": dist}])
-    else:
-        _emit(args, "# predicate\talpha\tdistance\n"
-                    f"{kind.value}\t{_fmt(alpha)}\t{_fmt(dist)}\n")
+    _emit_records(args, "experiment rank-distance",
+                  {"predicate": kind.value, "alpha": alpha, "min_support": tau,
+                   "itemsets": len(members), "input": str(args.input)},
+                  [{"distance": dist}], "# predicate\talpha\tdistance",
+                  lambda r: f"{kind.value}\t{_fmt(alpha)}\t{_fmt(r['distance'])}")
     return 0
 
 
@@ -399,18 +385,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, OSError, ValueError) as e:
         print(f"robustmine: error: {e}", file=sys.stderr)
-        return e.code
-    except CapacityError as e:
-        print(f"robustmine: error: {e}", file=sys.stderr)
-        return 2
-    except (FimiParseError, OSError) as e:
-        print(f"robustmine: error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"robustmine: error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, CliError):
+            return e.code
+        # unreadable or malformed input exits 1; capacity and other bad values exit 2
+        return 1 if isinstance(e, (FimiParseError, OSError)) else 2
 
 
 def entry() -> None:

@@ -1,14 +1,17 @@
-"""Binary transaction databases with exact support counting.
+"""Binary transaction databases stored by item, with exact support counting.
 
-Each transaction is one Python int used as a fixed-width bit row
-(bit i set = item i present), so support queries are masked-equality
-scans and every count is an exact integer.
+Each item present has one tidset: a Python int whose bit p is set when the
+transaction at position p holds the item (Zaki's vertical layout). Every
+count is an AND of tidsets and an ``int.bit_count()``, an exact integer. A
+sub-database shares its parent's tidsets under a keep-mask of positions.
 """
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
+from functools import cached_property
+from itertools import product
 
 # Cell tables enumerate 2**|X| value vectors; refuse wider queries by default.
 CELL_WIDTH_LIMIT = 20
@@ -34,46 +37,55 @@ def canon_items(items: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-class TransactionDatabase:
-    """Immutable sequence of (tid, bit row) transactions over items 0..n_items-1."""
+def _bits(positions: Sequence[int]) -> int:
+    """The int whose set bits are the given non-negative positions, in linear time."""
+    if not positions:
+        return 0
+    digits = bytearray(b"0") * (max(positions) + 1)
+    for p in positions:
+        digits[p] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
 
-    __slots__ = ("tids", "rows", "n_items", "__weakref__")
+
+def _ones(x: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return [p for p, d in enumerate(bin(x)[:1:-1]) if d == "1"]
+
+
+class TransactionDatabase:
+    """Immutable sequence of (tid, itemset) transactions over items 0..n_items-1:
+    one tidset per item present (shared with sub-databases) and a keep-mask of
+    the column positions this database holds, in position order."""
 
     def __init__(self, transactions: Iterable[Iterable[int]], n_items: int | None = None,
                  tids: Sequence[int] | None = None):
-        masks = []
-        widest = -1
-        for items in transactions:
-            m = 0
+        # every constructor ends here: positions grouped by item, then one int per item
+        positions = defaultdict(list)
+        n = 0
+        for n, items in enumerate(transactions, start=1):
             for i in items:
-                i = int(i)
-                if i < 0:
-                    raise ValueError(f"negative item id {i}")
-                m |= 1 << i
-                if i > widest:
-                    widest = i
-            masks.append(m)
-        k = widest + 1
+                positions[i].append(n - 1)
+        cols: dict[int, int] = {}
+        for key, ps in positions.items():
+            i = int(key)
+            if i < 0:
+                raise ValueError(f"negative item id {i}")
+            cols[i] = cols.get(i, 0) | _bits(ps)
+        widest = max(cols, default=-1)
         if n_items is None:
-            n_items = k
-        elif n_items < k:
+            n_items = widest + 1
+        elif n_items <= widest:
             raise ValueError(f"n_items={n_items} too small for item id {widest}")
-        object.__setattr__(self, "rows", tuple(masks))
-        object.__setattr__(self, "n_items", int(n_items))
-        if tids is None:
-            tids = range(len(masks))
-        tids = tuple(int(t) for t in tids)
-        if len(tids) != len(masks):
+        tids = tuple(range(n)) if tids is None else tuple(int(t) for t in tids)
+        if len(tids) != n:
             raise ValueError("tids length does not match transaction count")
-        object.__setattr__(self, "tids", tids)
+        self._share(cols, (1 << n) - 1, int(n_items), tids)
 
-    @classmethod
-    def _from_masks(cls, masks, n_items, tids):
-        db = cls.__new__(cls)
-        object.__setattr__(db, "rows", tuple(masks))
-        object.__setattr__(db, "n_items", n_items)
-        object.__setattr__(db, "tids", tuple(tids))
-        return db
+    def _share(self, cols, keep, n_items, all_tids) -> "TransactionDatabase":
+        vars(self).update(_cols=cols, _keep=keep, _len=keep.bit_count(), n_items=n_items,
+                          _all_tids=all_tids)
+        return self
 
     @classmethod
     def from_matrix(cls, matrix, tids=None) -> "TransactionDatabase":
@@ -82,72 +94,120 @@ class TransactionDatabase:
         matrix = [list(row) for row in matrix]
         if matrix:
             n_items = len(matrix[0])
-        elif shape is not None and len(shape) == 2:
-            n_items = int(shape[1])
         else:
-            n_items = 0
-        masks = []
-        for row in matrix:
-            if len(row) != n_items:
-                raise ValueError("ragged matrix")
-            m = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1, True, False):
-                    raise ValueError(f"matrix entry {v!r} is not binary")
-                if v:
-                    m |= 1 << j
-            masks.append(m)
-        if tids is None:
-            tids = range(len(masks))
-        return cls._from_masks(masks, n_items, tids)
+            n_items = int(shape[1]) if shape is not None and len(shape) == 2 else 0
+        if any(len(row) != n_items for row in matrix):
+            raise ValueError("ragged matrix")
+        bad = [v for row in matrix for v in row if v not in (0, 1, True, False)]
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not binary")
+        return cls([[j for j, v in enumerate(row) if v] for row in matrix], n_items, tids)
 
     def __setattr__(self, name, value):
         raise AttributeError("TransactionDatabase is immutable")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
+
+    # views derived on first use; cached_property writes the instance dict directly
+    @cached_property
+    def _positions(self) -> Sequence[int]:
+        """Column position of each transaction, in order."""
+        keep = self._keep
+        return _ones(keep) if keep & (keep + 1) else range(self._len)
+
+    @cached_property
+    def tids(self) -> tuple[int, ...]:
+        if self._len == len(self._all_tids):
+            return self._all_tids
+        return tuple(self._all_tids[p] for p in self._positions)
+
+    @cached_property
+    def _row_items(self) -> tuple[tuple[int, ...], ...]:
+        slot = {p: j for j, p in enumerate(self._positions)}
+        out = [[] for _ in slot]
+        for i in sorted(self._cols):
+            for p in _ones(self._cols[i] & self._keep):
+                out[slot[p]].append(i)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Per-transaction bit rows (bit i set = item i present)."""
+        return tuple(_bits(r) for r in self._row_items)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n_items, self.tids, self._row_items))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransactionDatabase):
             return NotImplemented
-        return (self.rows, self.tids, self.n_items) == (other.rows, other.tids, other.n_items)
+        return ((self.n_items, self.tids, self._row_items) ==
+                (other.n_items, other.tids, other._row_items))
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.tids, self.n_items))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"TransactionDatabase({len(self)} transactions, {self.n_items} items)"
 
     def row_items(self, idx: int) -> tuple[int, ...]:
         """Items of one transaction as a sorted tuple."""
-        r = self.rows[idx]
-        return tuple(i for i in range(self.n_items) if r >> i & 1)
+        return self._row_items[idx]
 
     def subset(self, keep: Iterable[int]) -> "TransactionDatabase":
-        """Sub-database keeping the given transaction indices; tids and width are preserved."""
+        """Sub-database of the given transaction indices, kept in database
+        order; indices must lie in 0..len-1 and must not repeat."""
         keep = list(keep)
-        return TransactionDatabase._from_masks(
-            [self.rows[i] for i in keep], self.n_items, [self.tids[i] for i in keep])
+        if keep and not 0 <= min(keep) <= max(keep) < self._len:
+            raise IndexError(f"transaction indices outside 0..{self._len - 1}")
+        mask = _bits(keep)
+        if mask.bit_count() != len(keep):
+            raise ValueError("subset indices must not repeat")
+        return self.subset_mask(mask)
+
+    def subset_mask(self, mask: int) -> "TransactionDatabase":
+        """Sub-database of the transactions whose bit is set in mask (bit j =
+        transaction j). Tids and width are preserved; the tidsets are shared."""
+        if mask < 0 or mask >> self._len:
+            raise ValueError(f"keep-mask selects transactions outside 0..{self._len - 1}")
+        if self._keep & (self._keep + 1):  # bit j moves to transaction j's column position
+            mask = _bits([self._positions[j] for j in _ones(mask)])
+        return TransactionDatabase.__new__(TransactionDatabase)._share(
+            self._cols, mask, self.n_items, self._all_tids)
 
     def to_matrix(self):
         """Dense 0/1 numpy matrix of shape (len(self), n_items)."""
         import numpy as np
 
         m = np.zeros((len(self), self.n_items), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            for j in range(self.n_items):
-                if r >> j & 1:
-                    m[i, j] = 1
+        for j, items in enumerate(self._row_items):
+            m[j, list(items)] = 1
         return m
 
+    def _item(self, i: int) -> int:
+        if not 0 <= i < self.n_items:
+            raise ValueError(f"item {i} outside 0..{self.n_items - 1}")
+        return i
+
     def item_mask(self, items: Iterable[int]) -> int:
-        """Bit mask for an itemset; rejects items outside 0..n_items-1."""
-        mask = 0
+        """Bit mask for an itemset (bit i = item i); rejects items outside 0..n_items-1."""
+        return _bits([self._item(i) for i in items])
+
+    def tidset(self, items: Iterable[int], absent: Iterable[int] = ()) -> int:
+        """The counting primitive: the transactions holding every item of items and
+        none of absent, as bits at column positions shared with sub-databases."""
+        cols, t = self._cols, self._keep
         for i in items:
-            if not 0 <= i < self.n_items:
-                raise ValueError(f"item {i} outside 0..{self.n_items - 1}")
-            mask |= 1 << i
-        return mask
+            t &= cols.get(self._item(i), 0)
+        for i in absent:
+            t &= ~cols.get(self._item(i), 0)
+        return t
+
+    def columns(self):
+        """(item, tidset) pairs of the shared columns, one per item present."""
+        return self._cols.items()
 
 
 def parse_fimi(text: str) -> TransactionDatabase:
@@ -156,24 +216,19 @@ def parse_fimi(text: str) -> TransactionDatabase:
     Repeated items within a line collapse to one; blank lines are skipped.
     The item universe is 0..max_id seen anywhere in the file.
     """
-    transactions = []
-    widest = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        mask = 0
-        for tok in line.split():
-            try:
-                i = int(tok)
-            except ValueError:
-                raise FimiParseError(lineno, f"non-integer item token {tok!r}") from None
-            if i < 0:
-                raise FimiParseError(lineno, f"negative item id {i}")
-            mask |= 1 << i
-            if i > widest:
-                widest = i
-        transactions.append(mask)
-    return TransactionDatabase._from_masks(transactions, widest + 1, range(len(transactions)))
+    lines = text.splitlines()
+    try:  # tokens stay strings until grouped: each distinct one is converted once
+        return TransactionDatabase(toks for toks in map(str.split, lines) if toks)
+    except ValueError as err:
+        for lineno, line in enumerate(lines, start=1):  # report the first bad token
+            for tok in line.split():
+                try:
+                    i = int(tok)
+                except ValueError:
+                    raise FimiParseError(lineno, f"non-integer item token {tok!r}") from None
+                if i < 0:
+                    raise FimiParseError(lineno, f"negative item id {i}") from None
+        raise err
 
 
 def load_fimi(path) -> TransactionDatabase:
@@ -205,8 +260,7 @@ def load_labels(path) -> dict[int, str]:
 
 def support(db: TransactionDatabase, items: Iterable[int]) -> int:
     """Number of transactions containing every item of the itemset."""
-    mask = db.item_mask(items)
-    return sum(1 for r in db.rows if r & mask == mask)
+    return db.tidset(items).bit_count()
 
 
 def generalized_support(db: TransactionDatabase, items: Sequence[int], values: Sequence[int]) -> int:
@@ -214,26 +268,18 @@ def generalized_support(db: TransactionDatabase, items: Sequence[int], values: S
     items = tuple(items)
     if len(values) != len(items):
         raise ValueError(f"value vector length {len(values)} != itemset size {len(items)}")
-    mask = db.item_mask(items)
-    want = 0
-    for i, v in zip(items, values):
-        if v not in (0, 1):
-            raise ValueError(f"value {v!r} is not 0/1")
-        if v:
-            want |= 1 << i
-    return sum(1 for r in db.rows if r & mask == want)
+    if any(v not in (0, 1) for v in values):
+        raise ValueError(f"value vector {tuple(values)!r} is not 0/1")
+    return db.tidset([i for i, v in zip(items, values) if v],
+                     [i for i, v in zip(items, values) if not v]).bit_count()
 
 
 def one_zero_cells(db: TransactionDatabase, items: Sequence[int]) -> tuple[int, ...]:
     """For each item x of the itemset: count of transactions containing all the
     other items but not x. Entry order follows the (sorted) itemset."""
     items = canon_items(items)
-    mask = db.item_mask(items)
-    out = []
-    for x in items:
-        want = mask ^ (1 << x)
-        out.append(sum(1 for r in db.rows if r & mask == want))
-    return tuple(out)
+    return tuple(db.tidset(items[:k] + items[k + 1:], (x,)).bit_count()
+                 for k, x in enumerate(items))
 
 
 class CellTable:
@@ -264,23 +310,16 @@ class CellTable:
 
 def cell_table(db: TransactionDatabase, items: Sequence[int],
                limit: int = CELL_WIDTH_LIMIT) -> CellTable:
-    """Full table of generalized supports over all 2**|X| value vectors.
-
-    One pass over the rows; a CapacityError guards |X| > limit.
-    """
+    """Full table of generalized supports over all 2**|X| value vectors: the
+    tidset split by each item's column in turn. CapacityError guards |X| > limit."""
     items = canon_items(items)
     m = len(items)
     if m > limit:
         raise CapacityError(f"cell table over {m} items exceeds the {limit}-item limit")
-    db.item_mask(items)
-    counts = [0] * (1 << m)
-    for r in db.rows:
-        idx = 0
-        for pos, x in enumerate(items):
-            idx |= (r >> x & 1) << pos
-        counts[idx] += 1
-    table = {}
-    for idx in range(1 << m):
-        v = tuple(idx >> pos & 1 for pos in range(m))
-        table[v] = counts[idx]
-    return CellTable(items, table)
+    cells = [db.tidset(())]
+    for x in items:
+        col = db.tidset((x,))
+        cells = [c & ~col for c in cells] + [c & col for c in cells]
+    # cell idx holds the vector with entry pos = bit pos of idx: reversed product()
+    vectors = map(tuple, map(reversed, product((0, 1), repeat=m)))
+    return CellTable(items, dict(zip(vectors, map(int.bit_count, cells))))

@@ -7,6 +7,7 @@ serialization for the command line lives in the cli module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .dataset import CELL_WIDTH_LIMIT, TransactionDatabase, canon_items
 from .mining import MiningConfig, mine_robust, resolve_min_support
@@ -79,7 +80,7 @@ def noise_mix(db: TransactionDatabase, eta: float, seed: int) -> TransactionData
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     m = db.to_matrix()
     if m.size == 0:
-        return TransactionDatabase._from_masks(db.rows, db.n_items, db.tids)
+        return db
     rng = np.random.Generator(np.random.Philox(seed))
     margins = m.mean(axis=0)
     synthetic = rng.random(m.shape) < margins
@@ -135,14 +136,8 @@ def rank_distance(bucketed, other) -> float:
     budget = n * (n - 1) // 2 - sum(len(b) * (len(b) - 1) // 2 for b in b1)
     if budget == 0:
         raise ValueError("distance undefined: every pair is tied in the first ranking")
-    universe = sorted(pos1)
-    discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d1 = pos1[universe[i]] - pos1[universe[j]]
-            d2 = pos2[universe[i]] - pos2[universe[j]]
-            if d1 * d2 < 0:
-                discordant += 1
+    discordant = sum(1 for x, y in combinations(sorted(pos1), 2)
+                     if (pos1[x] - pos1[y]) * (pos2[x] - pos2[y]) < 0)
     return 100.0 * discordant / budget
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .dataset import CELL_WIDTH_LIMIT, TransactionDatabase, canon_items, support
 from .ordering import OrderKey, rank
@@ -57,14 +58,12 @@ def _levelwise(db: TransactionDatabase, keep, max_size: int | None):
             yield survivors
         alive = set(survivors)
         nxt = []
-        for a_idx in range(len(survivors)):
-            for b_idx in range(a_idx + 1, len(survivors)):
-                a, b = survivors[a_idx], survivors[b_idx]
-                if a[:-1] != b[:-1]:
-                    continue
-                cand = a + (b[-1],)
-                if all(cand[:j] + cand[j + 1:] in alive for j in range(len(cand))):
-                    nxt.append(cand)
+        for a, b in combinations(survivors, 2):
+            if a[:-1] != b[:-1]:
+                continue
+            cand = a + (b[-1],)
+            if all(cand[:j] + cand[j + 1:] in alive for j in range(len(cand))):
+                nxt.append(cand)
         level = sorted(nxt)
         k += 1
 
@@ -87,9 +86,7 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
 
     def keep(items) -> bool:
         s = support(db, items)
-        if s < tau:
-            return False
-        if not evaluate_predicate(db, items, kind, config.cell_limit):
+        if s < tau or not evaluate_predicate(db, items, kind, config.cell_limit):
             return False
         r = robustness(db, items, kind, alpha, limit=config.cell_limit)
         if r < rho:
@@ -97,15 +94,10 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
         scores[items] = (s, r)
         return True
 
-    out: list[MinedItemset] = []
-    if config.include_empty and keep(()):
-        s, r = scores[()]
-        out.append(MinedItemset((), s, r))
+    out = [MinedItemset((), *scores[()])] if config.include_empty and keep(()) else []
     for level in _levelwise(db, keep, config.max_size):
-        ordered = rank(db, level, kind, limit=config.cell_limit)
-        for items, _key in ordered:
-            s, r = scores[items]
-            out.append(MinedItemset(items, s, r))
+        out += [MinedItemset(items, *scores[items])
+                for items, _key in rank(db, level, kind, limit=config.cell_limit)]
     return out
 
 
@@ -118,11 +110,8 @@ def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int,
     supports: dict[tuple[int, ...], int] = {}
 
     def frequent(items) -> bool:
-        s = support(db, items)
-        if s < tau:
-            return False
-        supports[items] = s
-        return True
+        supports[items] = s = support(db, items)
+        return s >= tau
 
     out = []
     for level in _levelwise(db, frequent, None):
@@ -163,9 +152,8 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     tau = resolve_min_support(min_support, len(db))
     if kind is PredicateKind.CLOSED:
         family = list(closed_family) if closed_family is not None else mine_closed(db, max(tau, 1))
-        members = [canon_items(it) for it, _ in family
-                   if min_size <= len(canon_items(it)) and
-                   (max_size is None or len(canon_items(it)) <= max_size)]
+        members = [it for it in (canon_items(f) for f, _ in family)
+                   if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
         ordered = rank(db, members, kind, closed_family=family,
                        closed_min_support=max(tau, 1), limit=cell_limit)
     else:

@@ -1,9 +1,9 @@
 """Independent checks of the analytic scores.
 
-The exhaustive path enumerates every subset of transactions by bitmask,
-re-evaluates the predicate on a materialized sub-database, and sums exact
-subset probabilities. The Monte-Carlo path samples Bernoulli keep-masks from
-a counter-based generator, for databases too large to enumerate.
+The exhaustive path enumerates every subset of transactions by bitmask and
+re-evaluates the predicate on the sub-database whose keep-mask it is, summing
+exact subset probabilities. The Monte-Carlo path samples Bernoulli keep-masks
+from a counter-based generator, for databases too large to enumerate.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from .predicates import PredicateKind, evaluate_predicate
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
                        kind: PredicateKind) -> tuple[int, ...]:
     """counts[j] = number of size-j transaction subsets on which the predicate holds.
 
     One full enumeration per (db, items, kind); the database is immutable, so
     the result is cached and shared by exhaustive_robustness and
-    breakdown_vector across alphas.
+    breakdown_vector across alphas. The cache is bounded because its keys
+    hold whole databases, at a size that still fits ~10k revisited triples.
     """
     n = len(db)
     if n > EXHAUSTIVE_LIMIT:
@@ -33,10 +34,8 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
             f"{EXHAUSTIVE_LIMIT}-transaction guard; use monte_carlo_robustness")
     counts = [0] * (n + 1)
     for mask in range(1 << n):
-        keep = [i for i in range(n) if mask >> i & 1]
-        sub = db.subset(keep)
-        if evaluate_predicate(sub, items, kind, limit=CELL_WIDTH_LIMIT):
-            counts[len(keep)] += 1
+        if evaluate_predicate(db.subset_mask(mask), items, kind, limit=CELL_WIDTH_LIMIT):
+            counts[mask.bit_count()] += 1
     return tuple(counts)
 
 
@@ -85,17 +84,16 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
     n = len(db)
     rng = np.random.Generator(np.random.Philox(seed))
     keep_masks = rng.random((n_samples, n)) < alpha
-    seen: dict[bytes, bool] = {}
+    # row j packed little-endian: bit i of the int keeps transaction i
+    packed = np.packbits(keep_masks, axis=1, bitorder="little")
+    seen: dict[int, bool] = {}
     hits = 0
-    for row in keep_masks:
-        sig = row.tobytes()
-        ok = seen.get(sig)
-        if ok is None:
-            sub = db.subset(np.flatnonzero(row))
-            ok = evaluate_predicate(sub, items, kind, limit=CELL_WIDTH_LIMIT)
-            seen[sig] = ok
-        if ok:
-            hits += 1
+    for row in packed:
+        mask = int.from_bytes(row.tobytes(), "little")
+        if mask not in seen:
+            sub = db.subset_mask(mask)
+            seen[mask] = evaluate_predicate(sub, items, kind, limit=CELL_WIDTH_LIMIT)
+        hits += seen[mask]
     est = hits / n_samples
     stderr = math.sqrt(est * (1.0 - est) / n_samples)
     return est, stderr

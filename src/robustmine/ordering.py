@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from collections.abc import Sequence
+from itertools import chain, compress, count, repeat
+from operator import ne
 
 from .dataset import (CELL_WIDTH_LIMIT, TransactionDatabase, canon_items,
                       cell_table, one_zero_cells, support)
@@ -205,21 +207,30 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
         masks.append((mask, e))
         k = supp_x - fs
         coeffs[k] = coeffs.get(k, 0) + e
-    if len(supers) >= 2:
-        assert sum(e_vals.values()) == 0, "closed-family multipliers must cancel"
+    if len(supers) >= 2 and sum(e_vals.values()) != 0:
+        raise ArithmeticError("closed-family multipliers must cancel")
     coeffs = {k: c for k, c in sorted(coeffs.items()) if c != 0}
     return ClosedCoefficients(coeffs, supp_x, min_support, e_vals)
 
 
 def compare_polynomials(p, q) -> int:
     """First-differing-coefficient order: LESS means p is less robust near alpha = 1."""
-    dp = _as_sparse(p)
-    dq = _as_sparse(q)
-    for k in sorted(set(dp) | set(dq)):
-        diff = dq.get(k, 0) - dp.get(k, 0)
-        if diff:
-            return LESS if diff > 0 else GREATER
-    return EQUAL
+    d = _first_difference(p, q)
+    return EQUAL if d is None else LESS if d[1] < d[2] else GREATER
+
+
+def _first_difference(p, q) -> tuple[int, int, int] | None:
+    """(degree, p's coefficient, q's coefficient) at the lowest degree where
+    they differ, or None. Two dense lists are walked in step, a missing tail
+    reading as zeros, so dense ndi keys are never re-sparsified."""
+    if isinstance(p, list) and isinstance(q, list):
+        n = max(len(p), len(q))
+        pairs = map(ne, chain(p, repeat(0, n - len(p))), chain(q, repeat(0, n - len(q))))
+        k = next(compress(count(), pairs), None)
+        return None if k is None else (k, p[k] if k < len(p) else 0, q[k] if k < len(q) else 0)
+    dp, dq = _as_sparse(p), _as_sparse(q)
+    k = next((k for k in sorted(set(dp) | set(dq)) if dp.get(k, 0) != dq.get(k, 0)), None)
+    return None if k is None else (k, dp.get(k, 0), dq.get(k, 0))
 
 
 def _as_sparse(p) -> dict:
@@ -304,9 +315,5 @@ def comparison_exact(a: OrderKey, b: OrderKey) -> bool:
     from fully mined support levels. Non-closed keys always compare exactly."""
     if a.kind is not PredicateKind.CLOSED or b.kind is not PredicateKind.CLOSED:
         return True
-    dp = _as_sparse(a.payload)
-    dq = _as_sparse(b.payload)
-    for k in sorted(set(dp) | set(dq)):
-        if dp.get(k, 0) != dq.get(k, 0):
-            return a.payload.is_exact(k) and b.payload.is_exact(k)
-    return True
+    d = _first_difference(a.payload, b.payload)
+    return d is None or (a.payload.is_exact(d[0]) and b.payload.is_exact(d[0]))

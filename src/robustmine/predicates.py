@@ -30,16 +30,12 @@ class PredicateKind(enum.Enum):
 
 
 def is_closed(db: TransactionDatabase, items) -> bool:
-    """No single-item extension has the same support."""
+    """No item outside X holds every transaction that holds X (no extension keeps its support)."""
     items = canon_items(items)
-    base = support(db, items)
-    present = db.item_mask(items)
-    for y in range(db.n_items):
-        if present >> y & 1:
-            continue
-        if support(db, items + (y,)) == base:
-            return False
-    return True
+    t = db.tidset(items)
+    if not t:  # every extension has support 0 too
+        return len(items) == db.n_items
+    return not any(t & col == t for y, col in db.columns() if y not in items)
 
 
 def is_free(db: TransactionDatabase, items) -> bool:
@@ -64,8 +60,7 @@ def is_non_derivable(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIM
     items = canon_items(items)
     if not items:
         return True
-    table = cell_table(db, items, limit)
-    odd, even = table.parity_split()
+    odd, even = cell_table(db, items, limit).parity_split()
     return not (min(odd) == 0 and min(even) == 0)
 
 
@@ -79,14 +74,11 @@ def derivability_bounds(db: TransactionDatabase, items, limit: int = CELL_WIDTH_
     items = canon_items(items)
     if not items:
         raise ValueError("bounds are defined for nonempty itemsets only")
-    table = cell_table(db, items, limit)
-    m = len(items)
-    odd_zeros, even_zeros = [], []
-    for v, c in table.counts.items():
-        zeros = m - sum(v)
-        (odd_zeros if zeros % 2 else even_zeros).append(c)
+    odd, even = cell_table(db, items, limit).parity_split()
+    if len(items) % 2:  # zeros = |X| - ones, so odd |X| swaps the parity classes
+        odd, even = even, odd
     s = support(db, items)
-    return s - min(even_zeros), s + min(odd_zeros)
+    return s - min(even), s + min(odd)
 
 
 def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind,

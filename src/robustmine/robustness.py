@@ -25,7 +25,8 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _checked(r: float) -> float:
-    assert -_SLACK <= r <= 1.0 + _SLACK, f"robustness {r} outside [0, 1]"
+    if not -_SLACK <= r <= 1.0 + _SLACK:
+        raise ArithmeticError(f"robustness {r} outside [0, 1]")
     return min(1.0, max(0.0, r))
 
 
@@ -53,8 +54,7 @@ def robustness_free(db: TransactionDatabase, items, alpha: float) -> float:
 def robustness_totally_shattered(db: TransactionDatabase, items, alpha: float,
                                  limit: int = CELL_WIDTH_LIMIT) -> float:
     """Probability every value vector keeps at least one transaction."""
-    cells = cell_table(db, items, limit).counts.values()
-    return survival_probability(cells, alpha)
+    return survival_probability(cell_table(db, items, limit).counts.values(), alpha)
 
 
 def robustness_non_derivable(db: TransactionDatabase, items, alpha: float,

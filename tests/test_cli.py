@@ -158,6 +158,40 @@ def test_verify_mc(capsys, toy_path):
     lines = dict(line.split("\t", 1) for line in out.splitlines())
     assert lines["stderr"] == "0"
     assert lines["difference"] == "0"
+    assert lines["verdict"] == "PASS (tolerance 0)"  # an exact match keeps tolerance 0
+
+
+def test_verify_mc_estimate_of_one_tolerates_float_noise(capsys, tmp_path):
+    # item 0 is free unless all 60 transactions without it drop out: the
+    # analytic 1 - 0.6**60 sits 5e-14 below the estimate 1, whose binomial
+    # stderr is 0; the add-one estimate (n + 1) / (n + 2) sets the tolerance
+    path = tmp_path / "near-one.fimi"
+    path.write_text("0\n" + "1\n" * 60)
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--itemset", "0",
+                       "--predicate", "free", "--alpha", "0.4",
+                       "--method", "mc", "--samples", "2000", "--seed", "1")
+    lines = dict(line.split("\t", 1) for line in out.splitlines())
+    assert lines["monte-carlo"] == "1" and lines["stderr"] == "0"
+    assert 0 < float(lines["difference"]) < 1e-12
+    p = 2001 / 2002
+    assert lines["verdict"] == f"PASS (tolerance {5 * (p * (1 - p) / 2000) ** 0.5:.12g})"
+    assert code == 0
+
+
+def test_verify_mc_estimate_of_zero_tolerates_float_noise(capsys, tmp_path):
+    # item 0 stays free only if the one transaction without it is kept, which
+    # at alpha 1e-14 no sample does; the analytic value is about 1e-14
+    path = tmp_path / "near-zero.fimi"
+    path.write_text("0\n1\n")
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--itemset", "0",
+                       "--predicate", "free", "--alpha", "1e-14",
+                       "--method", "mc", "--samples", "50", "--seed", "2")
+    lines = dict(line.split("\t", 1) for line in out.splitlines())
+    assert lines["monte-carlo"] == "0" and lines["stderr"] == "0"
+    assert 0 < float(lines["difference"]) < 1e-12
+    p = 1 / 52
+    assert lines["verdict"] == f"PASS (tolerance {5 * (p * (1 - p) / 50) ** 0.5:.12g})"
+    assert code == 0
 
 
 def test_verify_detects_mismatch(capsys, toy_path, monkeypatch):

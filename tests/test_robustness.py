@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +137,16 @@ def test_matches_exhaustive_on_random_data():
                     analytic = robustness(db, items, kind, alpha, closed_family=fam)
                     brute = exhaustive_robustness(db, items, kind, alpha)
                     assert analytic == pytest.approx(brute, abs=1e-9), (seed, items, kind, alpha)
+
+
+def test_range_check_survives_python_O():
+    # the [0, 1] invariant is an explicit check, not an assert that -O strips
+    import robustmine
+
+    src = os.path.dirname(os.path.dirname(robustmine.__file__))
+    code = ("from robustmine.robustness import _checked\n"
+            "try:\n    _checked(1.5)\nexcept ArithmeticError as e:\n    print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "robustness 1.5 outside [0, 1]"
