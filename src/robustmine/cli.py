@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .dataset import (CapacityError, FimiParseError, TransactionDatabase,
@@ -83,14 +82,6 @@ def _load_db(args) -> TransactionDatabase:
         raise CliError(1, f"cannot parse {args.input}: {e}") from None
     except OSError as e:
         raise CliError(1, f"cannot read {args.input}: {e}") from None
-
-
-def _workers() -> int:
-    raw = os.environ.get("ROBUST_MINER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(args, text: str) -> None:
@@ -181,8 +172,9 @@ def cmd_verify(args) -> int:
     db = _load_db(args)
     items = args.itemset
     for i in items:
-        if not 0 <= i < max(db.n_items, 1):
-            raise CliError(2, f"item {i} outside the database universe 0..{db.n_items - 1}")
+        if not 0 <= i < db.n_items:
+            universe = f"0..{db.n_items - 1}" if db.n_items else "(the database has no items)"
+            raise CliError(2, f"item {i} outside the database universe {universe}")
     family = complete_closed_family(db) if kind is PredicateKind.CLOSED else None
     analytic = robustness(db, items, kind, alpha, closed_family=family)
     lines = [f"analytic\t{_fmt(analytic)}"]
@@ -216,8 +208,7 @@ def cmd_experiment_sweep(args) -> int:
     kind = PredicateKind.parse(args.predicate)
     db = _load_db(args)
     try:
-        result = sweep(db, kind, args.alphas, args.rhos, min_support=args.min_support,
-                       workers=_workers())
+        result = sweep(db, kind, args.alphas, args.rhos, min_support=args.min_support)
     except ValueError as e:
         raise CliError(2, str(e)) from None
     _emit_records(args, "experiment sweep",
@@ -298,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="robustmine",
         description="Mine itemsets from binary transaction data and score how "
                     "robust their structural properties are when transactions "
-                    "are deleted at random.",
-        epilog="The ROBUST_MINER_THREADS environment variable caps worker "
-               "threads for sweep grids (default 1).")
+                    "are deleted at random.")
     sub = p.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("mine", help="mine itemsets passing support and robustness thresholds")

@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dataset import CELL_WIDTH_LIMIT, TransactionDatabase, canon_items
-from .mining import MiningConfig, mine_robust, resolve_min_support
+from .dataset import TransactionDatabase, canon_items
+from .mining import MiningConfig, mine_robust
 from .ordering import rank
-from .predicates import PredicateKind
-from .robustness import robustness
+from .predicates import PredicateKind, survival_classes
+from .robustness import check_probability, robustness, survival
 
 
 @dataclass(frozen=True)
@@ -30,41 +30,25 @@ class SweepResult:
 
 
 def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
-          min_support=1, include_empty: bool = False, max_size: int | None = None,
-          cell_limit: int = CELL_WIDTH_LIMIT, workers: int = 1) -> SweepResult:
+          min_support=1, include_empty: bool = False,
+          max_size: int | None = None) -> SweepResult:
     """Mined-itemset counts over the (alpha, rho) grid.
 
-    The predicate family is independent of alpha, so it is mined once and the
-    grid only re-thresholds robustness values. Counts equal a literal
-    mine_robust run at every grid point.
+    The predicate family is independent of alpha, so it is mined once, each
+    member's survival classes are counted once, and the grid only
+    re-thresholds robustness values. Counts equal a literal mine_robust run
+    at every grid point.
     """
-    alphas = tuple(float(a) for a in alphas)
-    rhos = tuple(float(r) for r in rhos)
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {a}")
-    for r in rhos:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {r}")
+    alphas = tuple(check_probability(a) for a in alphas)
+    rhos = tuple(check_probability(r, "rho") for r in rhos)
     family = mine_robust(db, MiningConfig(kind, alpha=1.0, rho=0.0, min_support=min_support,
-                                          max_size=max_size, include_empty=include_empty,
-                                          cell_limit=cell_limit))
-    members = [m.items for m in family]
-
-    def column(alpha):
-        return [robustness(db, items, kind, alpha, limit=cell_limit) for items in members]
-
-    if workers > 1 and len(alphas) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = dict(zip(alphas, pool.map(column, alphas)))
-    else:
-        values = {a: column(a) for a in alphas}
+                                          max_size=max_size, include_empty=include_empty))
+    classes = [survival_classes(db, m.items, kind) for m in family]
     counts = {}
     for a in alphas:
+        values = [survival(c, a) for c in classes]
         for r in rhos:
-            counts[(a, r)] = sum(1 for v in values[a] if v >= r)
+            counts[(a, r)] = sum(1 for v in values if v >= r)
     return SweepResult(kind, alphas, rhos, counts)
 
 
@@ -75,9 +59,7 @@ def noise_mix(db: TransactionDatabase, eta: float, seed: int) -> TransactionData
     synthetic. Deterministic given the seed."""
     import numpy as np
 
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = check_probability(eta, "eta")
     m = db.to_matrix()
     if m.size == 0:
         return db
@@ -142,20 +124,18 @@ def rank_distance(bucketed, other) -> float:
 
 
 def robustness_bucket_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
-                            alpha: float, closed_family=None,
-                            cell_limit: int = CELL_WIDTH_LIMIT) -> list[list[tuple[int, ...]]]:
+                            alpha: float, closed_family=None) -> list[list[tuple[int, ...]]]:
     """Itemsets grouped by numeric robustness at one alpha, most robust first;
     equal values share a bucket."""
     scored: dict[float, list] = {}
     for it in itemsets:
         it = canon_items(it)
-        r = robustness(db, it, kind, alpha, closed_family=closed_family, limit=cell_limit)
+        r = robustness(db, it, kind, alpha, closed_family=closed_family)
         scored.setdefault(r, []).append(it)
     return [sorted(scored[r]) for r in sorted(scored, reverse=True)]
 
 
 def parameter_free_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
-                         closed_family=None, cell_limit: int = CELL_WIDTH_LIMIT) -> list:
+                         closed_family=None) -> list:
     """Flat most-robust-first ranking from the parameter-free keys."""
-    return [items for items, _ in rank(db, itemsets, kind, closed_family=closed_family,
-                                       limit=cell_limit)]
+    return [items for items, _ in rank(db, itemsets, kind, closed_family=closed_family)]

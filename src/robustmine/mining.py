@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dataset import CELL_WIDTH_LIMIT, TransactionDatabase, canon_items, support
+from .dataset import TransactionDatabase, canon_items, support
 from .ordering import OrderKey, rank
-from .predicates import PredicateKind, evaluate_predicate, is_closed
-from .robustness import robustness
+from .predicates import PredicateKind, classes_hold, is_closed, survival_classes
+from .robustness import check_probability, survival
 
 
 def resolve_min_support(min_support, n_transactions: int) -> int:
@@ -37,7 +37,6 @@ class MiningConfig:
     min_support: float | int = 1
     max_size: int | None = None
     include_empty: bool = False
-    cell_limit: int = CELL_WIDTH_LIMIT
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,9 @@ class MinedItemset:
 
 def _levelwise(db: TransactionDatabase, keep, max_size: int | None):
     """Generic Apriori walk: keep(items) decides survival, levels are yielded
-    as sorted lists of surviving itemsets."""
+    as sorted lists of surviving itemsets. A negative max_size is rejected."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max size must be >= 0, got {max_size}")
     level = [ (i,) for i in range(db.n_items) ]
     k = 1
     while level and (max_size is None or k <= max_size):
@@ -75,20 +76,19 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     kind = config.kind
     if kind is PredicateKind.CLOSED:
         raise ValueError("closedness is not downward closed; use mine_closed or top_k")
-    alpha = float(config.alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    rho = float(config.rho)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    alpha = check_probability(config.alpha)
+    rho = check_probability(config.rho, "rho")
     tau = resolve_min_support(config.min_support, len(db))
     scores: dict[tuple[int, ...], tuple[int, float]] = {}
 
     def keep(items) -> bool:
         s = support(db, items)
-        if s < tau or not evaluate_predicate(db, items, kind, config.cell_limit):
+        if s < tau:
             return False
-        r = robustness(db, items, kind, alpha, limit=config.cell_limit)
+        classes = survival_classes(db, items, kind)
+        if not classes_hold(classes):
+            return False
+        r = survival(classes, alpha)
         if r < rho:
             return False
         scores[items] = (s, r)
@@ -97,7 +97,7 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     out = [MinedItemset((), *scores[()])] if config.include_empty and keep(()) else []
     for level in _levelwise(db, keep, config.max_size):
         out += [MinedItemset(items, *scores[items])
-                for items, _key in rank(db, level, kind, limit=config.cell_limit)]
+                for items, _key in rank(db, level, kind)]
     return out
 
 
@@ -136,7 +136,7 @@ class RankedPattern:
 
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None, include_empty: bool = True,
-          closed_family=None, cell_limit: int = CELL_WIDTH_LIMIT) -> list[RankedPattern]:
+          closed_family=None) -> list[RankedPattern]:
     """The k most robust members of the predicate family.
 
     Closed: the family is mined at min_support (or taken from closed_family)
@@ -155,19 +155,16 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         members = [it for it in (canon_items(f) for f, _ in family)
                    if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
         ordered = rank(db, members, kind, closed_family=family,
-                       closed_min_support=max(tau, 1), limit=cell_limit)
+                       closed_min_support=max(tau, 1))
     else:
-        members = []
-        if include_empty and min_size == 0 and len(db) >= tau and \
-                evaluate_predicate(db, (), kind, cell_limit):
-            members.append(())
-
         def keep(items) -> bool:
-            return support(db, items) >= tau and evaluate_predicate(db, items, kind, cell_limit)
+            return support(db, items) >= tau and classes_hold(survival_classes(db, items, kind))
+
+        members = [()] if include_empty and min_size == 0 and keep(()) else []
 
         for level in _levelwise(db, keep, max_size):
             if len(level[0]) >= min_size:
                 members.extend(level)
-        ordered = rank(db, members, kind, limit=cell_limit)
+        ordered = rank(db, members, kind)
     return [RankedPattern(pos, items, key.support, key)
             for pos, (items, key) in enumerate(ordered[:k], start=1)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .dataset import CELL_WIDTH_LIMIT, CapacityError, TransactionDatabase, canon_items
+from .dataset import CapacityError, TransactionDatabase, canon_items
 from .predicates import PredicateKind, evaluate_predicate
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
@@ -34,7 +34,7 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
             f"{EXHAUSTIVE_LIMIT}-transaction guard; use monte_carlo_robustness")
     counts = [0] * (n + 1)
     for mask in range(1 << n):
-        if evaluate_predicate(db.subset_mask(mask), items, kind, limit=CELL_WIDTH_LIMIT):
+        if evaluate_predicate(db.subset_mask(mask), items, kind):
             counts[mask.bit_count()] += 1
     return tuple(counts)
 
@@ -92,7 +92,7 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
         mask = int.from_bytes(row.tobytes(), "little")
         if mask not in seen:
             sub = db.subset_mask(mask)
-            seen[mask] = evaluate_predicate(sub, items, kind, limit=CELL_WIDTH_LIMIT)
+            seen[mask] = evaluate_predicate(sub, items, kind)
         hits += seen[mask]
     est = hits / n_samples
     stderr = math.sqrt(est * (1.0 - est) / n_samples)

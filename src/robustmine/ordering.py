@@ -16,26 +16,26 @@ from collections.abc import Sequence
 from itertools import chain, compress, count, repeat
 from operator import ne
 
-from .dataset import (CELL_WIDTH_LIMIT, TransactionDatabase, canon_items,
-                      cell_table, one_zero_cells, support)
-from .predicates import PredicateKind
+from .dataset import TransactionDatabase, canon_items, support
+from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def margin_vector(db: TransactionDatabase, items, kind: PredicateKind,
-                  limit: int = CELL_WIDTH_LIMIT) -> tuple[int, ...]:
-    """Sorted cell counts whose joint survival keeps the predicate alive.
+def _one_class(kind: PredicateKind, what: str):
+    spec = SURVIVAL_CLASSES.get(kind)
+    if spec is None or spec.size is None:
+        raise ValueError(f"{what} is defined for the one-class kinds free/ts, not {kind.value}")
+    return spec
 
-    Free: the |X| cells with exactly one absent item. Totally shattered:
-    all 2**|X| cells. Other kinds have no margin vector.
+
+def margin_vector(db: TransactionDatabase, items, kind: PredicateKind) -> tuple[int, ...]:
+    """Sorted cell counts whose joint survival keeps the predicate alive: the
+    single survival class of a one-class kind (free: the |X| cells with
+    exactly one absent item; totally shattered: all 2**|X| cells). Other kinds
+    have no margin vector.
     """
-    if kind is PredicateKind.FREE:
-        cells = one_zero_cells(db, items)
-    elif kind is PredicateKind.TOTALLY_SHATTERED:
-        cells = tuple(cell_table(db, items, limit).counts.values())
-    else:
-        raise ValueError(f"margin vectors are defined for free/ts, not {kind.value}")
+    (cells,) = _one_class(kind, "margin_vector").cells(db, canon_items(items))
     return tuple(sorted(cells))
 
 
@@ -78,13 +78,7 @@ def alpha_bound(x_items, y_items, d, kind: PredicateKind) -> float:
         return 0.0
     if d < 1:
         raise ValueError(f"gap must be >= 1, got {d}")
-    y = canon_items(y_items)
-    if kind is PredicateKind.FREE:
-        n = len(y)
-    elif kind is PredicateKind.TOTALLY_SHATTERED:
-        n = 2 ** len(y)
-    else:
-        raise ValueError(f"alpha_bound is defined for free/ts, not {kind.value}")
+    n = _one_class(kind, "alpha_bound").size(len(canon_items(y_items)))
     return 1.0 - (n + 1) ** (-1.0 / d)
 
 
@@ -113,20 +107,23 @@ def evaluate_poly(coeffs, beta: float) -> float:
     return acc
 
 
-def ndi_polynomial(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIMIT) -> list[int]:
+def ndi_polynomial(db: TransactionDatabase, items) -> list[int]:
     """Coefficients (in beta = 1 - alpha) of the non-derivability robustness.
 
     r = o(odd) + o(even) - o(all), each o expanded exactly over the cell
     counts of the corresponding parity class. Dense list of length |D| + 1.
     """
-    items = canon_items(items)
-    dlen = len(db)
-    table = cell_table(db, items, limit)
-    odd, even = table.parity_split()
-    p_odd = expand(odd, dlen)
-    p_even = expand(even, dlen)
-    p_all = expand(list(table.counts.values()), dlen)
-    return [a + b - c for a, b, c in zip(p_odd, p_even, p_all)]
+    return _key_payload(survival_classes(db, items, PredicateKind.NON_DERIVABLE), len(db))
+
+
+def _key_payload(classes, dlen: int):
+    """Ranking payload from survival classes: one class gives its sorted margin
+    vector; two classes A, B give the polynomial o(A) + o(B) - o(A u B)."""
+    if len(classes) == 1:
+        return tuple(sorted(classes[0]))
+    a, b = classes
+    return [x + y - z for x, y, z in zip(expand(a, dlen), expand(b, dlen),
+                                         expand(chain(a, b), dlen))]
 
 
 @dataclass(frozen=True)
@@ -252,7 +249,7 @@ class OrderKey:
 
     def describe(self) -> str:
         """Stable, human-readable key descriptor."""
-        if self.kind in (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED):
+        if isinstance(self.payload, tuple):  # a margin vector
             return ",".join(str(c) for c in self.payload)
         sparse = _as_sparse(self.payload)
         if not sparse:
@@ -264,7 +261,7 @@ def compare_keys(a: OrderKey, b: OrderKey) -> int:
     """LESS means a is less robust than b near alpha = 1 (ties not broken)."""
     if a.kind is not b.kind:
         raise ValueError("keys of different kinds are not comparable")
-    if a.kind in (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED):
+    if isinstance(a.payload, tuple):  # margin vectors
         return compare_sequences(a.payload, b.payload)
     return compare_polynomials(a.payload, b.payload)
 
@@ -281,30 +278,24 @@ def _rank_cmp(a: OrderKey, b: OrderKey) -> int:
 
 
 def order_key(db: TransactionDatabase, items, kind: PredicateKind,
-              closed_family=None, closed_min_support: int = 1,
-              limit: int = CELL_WIDTH_LIMIT) -> OrderKey:
+              closed_family=None, closed_min_support: int = 1) -> OrderKey:
     """Build the ranking key for one itemset."""
     items = canon_items(items)
-    if kind in (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED):
-        payload = margin_vector(db, items, kind, limit)
-    elif kind is PredicateKind.NON_DERIVABLE:
-        payload = ndi_polynomial(db, items, limit)
-    elif kind is PredicateKind.CLOSED:
+    if kind is PredicateKind.CLOSED:
         if closed_family is None:
             raise ValueError("ranking closed itemsets requires a closed family")
         payload = closed_coefficients(items, closed_family, support(db, items),
                                       n_items=db.n_items, min_support=closed_min_support)
     else:
-        raise ValueError(f"unknown predicate kind {kind!r}")
+        payload = _key_payload(survival_classes(db, items, kind), len(db))
     return OrderKey(kind, payload, support(db, items), items)
 
 
 def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
-         closed_family=None, closed_min_support: int = 1,
-         limit: int = CELL_WIDTH_LIMIT) -> list[tuple[tuple[int, ...], OrderKey]]:
+         closed_family=None, closed_min_support: int = 1) -> list[tuple[tuple[int, ...], OrderKey]]:
     """Sort itemsets most-robust-first; ties fall back to larger support,
     then lexicographic itemset. Deterministic for identical inputs."""
-    keys = [order_key(db, it, kind, closed_family, closed_min_support, limit)
+    keys = [order_key(db, it, kind, closed_family, closed_min_support)
             for it in itemsets]
     keys.sort(key=cmp_to_key(_rank_cmp))
     return [(k.items, k) for k in keys]

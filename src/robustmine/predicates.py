@@ -8,10 +8,10 @@ counts.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
-from .dataset import (CELL_WIDTH_LIMIT, TransactionDatabase, canon_items,
-                      cell_table, one_zero_cells, support)
+from .dataset import TransactionDatabase, canon_items, cell_table, one_zero_cells, support
 
 
 class PredicateKind(enum.Enum):
@@ -44,13 +44,13 @@ def is_free(db: TransactionDatabase, items) -> bool:
     return all(c > 0 for c in one_zero_cells(db, items))
 
 
-def is_totally_shattered(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIMIT) -> bool:
+def is_totally_shattered(db: TransactionDatabase, items) -> bool:
     """Every one of the 2**|X| value vectors occurs in some transaction."""
-    table = cell_table(db, items, limit)
+    table = cell_table(db, items)
     return all(c > 0 for c in table.counts.values())
 
 
-def is_non_derivable(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIMIT) -> bool:
+def is_non_derivable(db: TransactionDatabase, items) -> bool:
     """Support is not pinned by inclusion-exclusion bounds on proper subsets.
 
     An itemset is derivable exactly when both parity classes of its value
@@ -60,11 +60,11 @@ def is_non_derivable(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIM
     items = canon_items(items)
     if not items:
         return True
-    odd, even = cell_table(db, items, limit).parity_split()
+    odd, even = cell_table(db, items).parity_split()
     return not (min(odd) == 0 and min(even) == 0)
 
 
-def derivability_bounds(db: TransactionDatabase, items, limit: int = CELL_WIDTH_LIMIT) -> tuple[int, int]:
+def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
     """Tightest (lower, upper) inclusion-exclusion support bounds from proper subsets.
 
     lower = supp(X) - min cell over vectors with an even number of zeros,
@@ -74,22 +74,64 @@ def derivability_bounds(db: TransactionDatabase, items, limit: int = CELL_WIDTH_
     items = canon_items(items)
     if not items:
         raise ValueError("bounds are defined for nonempty itemsets only")
-    odd, even = cell_table(db, items, limit).parity_split()
+    odd, even = cell_table(db, items).parity_split()
     if len(items) % 2:  # zeros = |X| - ones, so odd |X| swaps the parity classes
         odd, even = even, odd
     s = support(db, items)
     return s - min(even), s + min(odd)
 
 
-def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind,
-                       limit: int = CELL_WIDTH_LIMIT) -> bool:
-    """Exact truth of the predicate on the full database."""
-    if kind is PredicateKind.CLOSED:
-        return is_closed(db, items)
-    if kind is PredicateKind.FREE:
-        return is_free(db, items)
-    if kind is PredicateKind.NON_DERIVABLE:
-        return is_non_derivable(db, items, limit)
-    if kind is PredicateKind.TOTALLY_SHATTERED:
-        return is_totally_shattered(db, items, limit)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+# late-bound, so a rebound is_closed (a wrapper, a test double) is the one that runs
+_TESTS = {
+    PredicateKind.CLOSED: lambda db, items: is_closed(db, items),
+    PredicateKind.FREE: lambda db, items: is_free(db, items),
+    PredicateKind.NON_DERIVABLE: lambda db, items: is_non_derivable(db, items),
+    PredicateKind.TOTALLY_SHATTERED: lambda db, items: is_totally_shattered(db, items),
+}
+
+
+def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind) -> bool:
+    """Exact truth of the predicate on the full database: the reference the
+    oracles use, independent of the survival-class table below."""
+    test = _TESTS.get(kind)
+    if test is None:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    return test(db, items)
+
+
+class SurvivalClasses(NamedTuple):
+    """A non-closed predicate as classes of cells: it holds exactly when some
+    class keeps every one of its cells non-empty.
+
+    cells(db, items) lists the classes' cell counts for a canonical itemset;
+    size(|X|) is the number of cells of a one-class kind (alpha_bound's N)
+    and is None for kinds with more than one class.
+    """
+
+    cells: Callable[[TransactionDatabase, tuple[int, ...]], tuple[Sequence[int], ...]]
+    size: Callable[[int], int] | None
+
+
+SURVIVAL_CLASSES = {
+    # free: the |X| cells with exactly one absent item
+    PredicateKind.FREE: SurvivalClasses(lambda db, x: (one_zero_cells(db, x),), lambda m: m),
+    # totally shattered: all 2**|X| cells
+    PredicateKind.TOTALLY_SHATTERED: SurvivalClasses(
+        lambda db, x: (tuple(cell_table(db, x).counts.values()),), lambda m: 2 ** m),
+    # non-derivable: the odd- and even-parity cells (Calders & Goethals, PKDD 2002)
+    PredicateKind.NON_DERIVABLE: SurvivalClasses(
+        lambda db, x: cell_table(db, x).parity_split(), None),
+}
+
+
+def survival_classes(db: TransactionDatabase, items, kind: PredicateKind) -> tuple[Sequence[int], ...]:
+    """Cell counts of each survival class of the itemset, for a non-closed kind."""
+    spec = SURVIVAL_CLASSES.get(kind)
+    if spec is None:
+        raise ValueError(f"no survival classes for {kind!r}")
+    return spec.cells(db, canon_items(items))
+
+
+def classes_hold(classes) -> bool:
+    """Truth at alpha = 1: some class has no empty cell (an empty class counts)."""
+    return any(all(c) for c in classes)

@@ -8,20 +8,21 @@ here is closed-form and exact up to float rounding.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
 
-from .dataset import (CELL_WIDTH_LIMIT, TransactionDatabase, canon_items,
-                      cell_table, one_zero_cells, support)
+from .dataset import TransactionDatabase, canon_items, support
 from .ordering import closed_coefficients, evaluate_poly
-from .predicates import PredicateKind
+from .predicates import PredicateKind, survival_classes
 
 _SLACK = 1e-12
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
+def check_probability(x: float, name: str = "alpha") -> float:
+    """x as a float; ValueError when it lies outside [0, 1]."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+    return x
 
 
 def _checked(r: float) -> float:
@@ -36,7 +37,7 @@ def survival_probability(cells: Sequence[int], alpha: float) -> float:
     Each factor is 1 - (1-alpha)**count; an empty cell contributes 0
     ((1-alpha)**0 == 1 even at alpha = 1), an empty list gives 1.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_probability(alpha)
     beta = 1.0 - alpha
     prod = 1.0
     for c in sorted(cells, reverse=True):
@@ -46,33 +47,33 @@ def survival_probability(cells: Sequence[int], alpha: float) -> float:
     return _checked(prod)
 
 
+def survival(classes, alpha: float) -> float:
+    """Probability that some class keeps every cell non-empty.
+
+    The classes hold disjoint cells, so they fail independently: the left fold
+    r = 1 - (1 - r)(1 - o) over the classes' survival probabilities o. One
+    class gives its o unchanged.
+    """
+    return _checked(reduce(lambda r, o: 1.0 - (1.0 - r) * (1.0 - o),
+                           (survival_probability(c, alpha) for c in classes)))
+
+
 def robustness_free(db: TransactionDatabase, items, alpha: float) -> float:
     """Probability the itemset stays free: all one-absent-item cells survive."""
-    return survival_probability(one_zero_cells(db, items), alpha)
+    return robustness(db, items, PredicateKind.FREE, alpha)
 
 
-def robustness_totally_shattered(db: TransactionDatabase, items, alpha: float,
-                                 limit: int = CELL_WIDTH_LIMIT) -> float:
+def robustness_totally_shattered(db: TransactionDatabase, items, alpha: float) -> float:
     """Probability every value vector keeps at least one transaction."""
-    return survival_probability(cell_table(db, items, limit).counts.values(), alpha)
+    return robustness(db, items, PredicateKind.TOTALLY_SHATTERED, alpha)
 
 
-def robustness_non_derivable(db: TransactionDatabase, items, alpha: float,
-                             limit: int = CELL_WIDTH_LIMIT) -> float:
-    """Probability the itemset stays non-derivable.
-
-    With o(C) the survival probability of a parity class, the chance that at
-    least one class keeps all its cells is 1 - (1 - o(odd))(1 - o(even)).
-    The empty itemset has no applicable cells and scores 1.
+def robustness_non_derivable(db: TransactionDatabase, items, alpha: float) -> float:
+    """Probability the itemset stays non-derivable: 1 - (1 - o(odd))(1 - o(even)),
+    with o(C) the survival probability of a parity class. The empty itemset
+    has an empty odd class and scores 1.
     """
-    items = canon_items(items)
-    alpha = _check_alpha(alpha)
-    if not items:
-        return 1.0
-    odd, even = cell_table(db, items, limit).parity_split()
-    o_odd = survival_probability(odd, alpha)
-    o_even = survival_probability(even, alpha)
-    return _checked(1.0 - (1.0 - o_odd) * (1.0 - o_even))
+    return robustness(db, items, PredicateKind.NON_DERIVABLE, alpha)
 
 
 def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
@@ -84,22 +85,17 @@ def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
     automatically when they belong in it.
     """
     items = canon_items(items)
-    alpha = _check_alpha(alpha)
+    alpha = check_probability(alpha)
     poly = closed_coefficients(items, closed_family, support(db, items), n_items=db.n_items)
     return _checked(evaluate_poly(poly.coeffs, 1.0 - alpha))
 
 
 def robustness(db: TransactionDatabase, items, kind: PredicateKind, alpha: float,
-               closed_family=None, limit: int = CELL_WIDTH_LIMIT) -> float:
-    """Dispatch to the analytic robustness for the given predicate kind."""
-    if kind is PredicateKind.FREE:
-        return robustness_free(db, items, alpha)
-    if kind is PredicateKind.TOTALLY_SHATTERED:
-        return robustness_totally_shattered(db, items, alpha, limit)
-    if kind is PredicateKind.NON_DERIVABLE:
-        return robustness_non_derivable(db, items, alpha, limit)
+               closed_family=None) -> float:
+    """Analytic robustness: closed from its family, every other kind from its
+    survival classes."""
     if kind is PredicateKind.CLOSED:
         if closed_family is None:
             raise ValueError("closed robustness requires the complete closed family")
         return robustness_closed_exact(db, items, alpha, closed_family)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    return survival(survival_classes(db, items, kind), alpha)

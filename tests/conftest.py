@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from robustmine import TransactionDatabase, parse_fimi
 
@@ -35,6 +36,15 @@ def small_corpus(count, base_seed=0, max_rows=10, max_items=6):
         k = 3 + (base_seed + i) % (max_items - 2)
         out.append(random_db(base_seed + i, n, k, densities[i % 3]))
     return out
+
+
+@st.composite
+def databases(draw):
+    """(transactions, n_items): ids 0..5, n_items sometimes above the highest id
+    present, the empty database and empty transactions included."""
+    transactions = draw(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=9))
+    widest = max((i for t in transactions for i in t), default=-1)
+    return transactions, widest + 1 + draw(st.integers(0, 2))
 
 
 def all_itemsets(n_items, max_size=None):

@@ -105,6 +105,14 @@ def test_rank_size_window(capsys, toy_path):
     assert rows == ["0 4", "0 1"]
 
 
+def test_negative_max_size_exits_2(capsys, toy_path):
+    for extra, message in ((("mine", "--alpha", "0.5"), "max size must be >= 0"),
+                           (("rank",), "bad size window")):
+        code, out, err = run(capsys, *extra, "--input", toy_path, "--predicate", "free",
+                             "--max-size", "-1")
+        assert code == 2 and out == "" and message in err, extra
+
+
 def test_rank_json(capsys, toy_path, labels_path):
     code, out, _ = run(capsys, "rank", "--input", toy_path, "--predicate", "closed",
                        "--top-k", "2", "--format", "json", "--labels", labels_path)
@@ -205,6 +213,20 @@ def test_verify_rejects_foreign_item(capsys, toy_path):
     code, _, err = run(capsys, "verify", "--input", toy_path, "--itemset", "9",
                        "--predicate", "free", "--alpha", "0.5")
     assert code == 2 and "universe" in err
+
+
+def test_verify_on_empty_database_rejects_every_item(capsys, tmp_path):
+    empty = tmp_path / "empty.dat"
+    empty.write_text("")
+    code, out, err = run(capsys, "verify", "--input", str(empty), "--itemset", "0",
+                         "--predicate", "free", "--alpha", "0.5")
+    assert code == 2 and out == ""
+    assert err == ("robustmine: error: item 0 outside the database universe "
+                   "(the database has no items)\n")
+    # the empty itemset still verifies
+    code, out, _ = run(capsys, "verify", "--input", str(empty), "--itemset", "",
+                       "--predicate", "ndi", "--alpha", "0.5")
+    assert code == 0 and out.splitlines()[-1].startswith("verdict\tPASS")
 
 
 def test_sweep_matches_library_and_is_deterministic(capsys, toy_path, toy):

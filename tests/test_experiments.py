@@ -39,19 +39,13 @@ def test_sweep_grid_monotonicity(toy):
             assert row == sorted(row), (kind, r)
 
 
-def test_sweep_workers_agree(toy):
-    alphas = (0.2, 0.5, 0.8)
-    rhos = (0.0, 0.4)
-    serial = sweep(toy, PredicateKind.FREE, alphas, rhos, workers=1)
-    threaded = sweep(toy, PredicateKind.FREE, alphas, rhos, workers=3)
-    assert serial.counts == threaded.counts
-
-
 def test_sweep_validation(toy):
     with pytest.raises(ValueError):
         sweep(toy, PredicateKind.FREE, (0.5, 1.2), (0.0,))
     with pytest.raises(ValueError):
         sweep(toy, PredicateKind.FREE, (0.5,), (-0.1,))
+    with pytest.raises(ValueError, match="max size must be >= 0"):
+        sweep(toy, PredicateKind.FREE, (0.5,), (0.0,), max_size=-3)
 
 
 def test_noise_mix_identity_and_determinism(toy):

@@ -76,6 +76,11 @@ def test_mine_validation(toy):
         mine_robust(toy, MiningConfig(PredicateKind.FREE, alpha=1.5))
     with pytest.raises(ValueError):
         mine_robust(toy, MiningConfig(PredicateKind.FREE, alpha=0.5, rho=-0.2))
+    with pytest.raises(ValueError, match="max size must be >= 0"):
+        mine_robust(toy, MiningConfig(PredicateKind.FREE, alpha=0.5, max_size=-1))
+    with pytest.raises(ValueError, match="max size must be >= 0"):
+        mine_robust(toy, MiningConfig(PredicateKind.NON_DERIVABLE, alpha=0.5, max_size=-1,
+                                      include_empty=True))
 
 
 def test_mine_matches_brute_force():

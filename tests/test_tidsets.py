@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TOY_TEXT
+from conftest import TOY_TEXT, databases
 from robustmine import (PredicateKind, TransactionDatabase, cell_table,
                         exhaustive_robustness, generalized_support, is_closed,
                         one_zero_cells, parse_fimi, support)
@@ -75,15 +75,6 @@ class RowScan:
         present = self.mask(items)
         return all(self.support(items + (y,)) != base
                    for y in range(self.n_items) if not present >> y & 1)
-
-
-@st.composite
-def databases(draw):
-    """(transactions, n_items): ids 0..5, n_items sometimes above the highest id
-    present, the empty database and empty transactions included."""
-    transactions = draw(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=9))
-    widest = max((i for t in transactions for i in t), default=-1)
-    return transactions, widest + 1 + draw(st.integers(0, 2))
 
 
 def _views(draw, transactions, n_items):
