@@ -25,7 +25,7 @@ LESS, EQUAL, GREATER = -1, 0, 1
 def _one_class(kind: PredicateKind, what: str):
     spec = SURVIVAL_CLASSES.get(kind)
     if spec is None or spec.size is None:
-        raise ValueError(f"{what} is defined for the one-class kinds free/ts, not {kind.value}")
+        raise ValueError(f"{what} defined for free/ts, not {kind.value}")
     return spec
 
 
@@ -35,7 +35,7 @@ def margin_vector(db: TransactionDatabase, items, kind: PredicateKind) -> tuple[
     exactly one absent item; totally shattered: all 2**|X| cells). Other kinds
     have no margin vector.
     """
-    (cells,) = _one_class(kind, "margin_vector").cells(db, canon_items(items))
+    (cells,) = _one_class(kind, "margin vectors are").cells(db, canon_items(items))
     return tuple(sorted(cells))
 
 
@@ -78,7 +78,7 @@ def alpha_bound(x_items, y_items, d, kind: PredicateKind) -> float:
         return 0.0
     if d < 1:
         raise ValueError(f"gap must be >= 1, got {d}")
-    n = _one_class(kind, "alpha_bound").size(len(canon_items(y_items)))
+    n = _one_class(kind, "alpha_bound is").size(len(canon_items(y_items)))
     return 1.0 - (n + 1) ** (-1.0 / d)
 
 

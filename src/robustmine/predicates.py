@@ -81,22 +81,18 @@ def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
     return s - min(even), s + min(odd)
 
 
-# late-bound, so a rebound is_closed (a wrapper, a test double) is the one that runs
-_TESTS = {
-    PredicateKind.CLOSED: lambda db, items: is_closed(db, items),
-    PredicateKind.FREE: lambda db, items: is_free(db, items),
-    PredicateKind.NON_DERIVABLE: lambda db, items: is_non_derivable(db, items),
-    PredicateKind.TOTALLY_SHATTERED: lambda db, items: is_totally_shattered(db, items),
-}
-
-
 def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind) -> bool:
     """Exact truth of the predicate on the full database: the reference the
     oracles use, independent of the survival-class table below."""
-    test = _TESTS.get(kind)
-    if test is None:
-        raise ValueError(f"unknown predicate kind {kind!r}")
-    return test(db, items)
+    if kind is PredicateKind.CLOSED:
+        return is_closed(db, items)
+    if kind is PredicateKind.FREE:
+        return is_free(db, items)
+    if kind is PredicateKind.NON_DERIVABLE:
+        return is_non_derivable(db, items)
+    if kind is PredicateKind.TOTALLY_SHATTERED:
+        return is_totally_shattered(db, items)
+    raise ValueError(f"unknown predicate kind {kind!r}")
 
 
 class SurvivalClasses(NamedTuple):
@@ -128,7 +124,9 @@ def survival_classes(db: TransactionDatabase, items, kind: PredicateKind) -> tup
     """Cell counts of each survival class of the itemset, for a non-closed kind."""
     spec = SURVIVAL_CLASSES.get(kind)
     if spec is None:
-        raise ValueError(f"no survival classes for {kind!r}")
+        if kind is PredicateKind.CLOSED:
+            raise ValueError("closedness has no survival classes")
+        raise ValueError(f"unknown predicate kind {kind!r}")
     return spec.cells(db, canon_items(items))
 
 
