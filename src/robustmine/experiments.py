@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .dataset import TransactionDatabase, canon_items
 from .mining import MiningConfig, mine_robust
-from .ordering import rank
+from .ordering import ClosedFamilyIndex, rank
 from .predicates import PredicateKind, survival_classes
 from .robustness import check_probability, robustness, survival
 
@@ -127,6 +127,8 @@ def robustness_bucket_order(db: TransactionDatabase, itemsets, kind: PredicateKi
                             alpha: float, closed_family=None) -> list[list[tuple[int, ...]]]:
     """Itemsets grouped by numeric robustness at one alpha, most robust first;
     equal values share a bucket."""
+    if kind is PredicateKind.CLOSED and closed_family is not None:
+        closed_family = ClosedFamilyIndex(closed_family, db.n_items)
     scored: dict[float, list] = {}
     for it in itemsets:
         it = canon_items(it)

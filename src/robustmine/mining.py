@@ -1,4 +1,4 @@
-"""Levelwise mining of robust itemsets and of closed itemsets.
+"""Levelwise mining of robust itemsets, and closed itemsets by closure extension.
 
 Freeness, non-derivability and total shattering are downward closed and
 their robustness only drops when items are added, so the classic
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .dataset import TransactionDatabase, canon_items, support
 from .ordering import OrderKey, rank
-from .predicates import (PredicateKind, classes_hold, evaluate_predicate, is_closed,
-                         survival_classes)
+from .predicates import PredicateKind, classes_hold, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
 
 
@@ -60,12 +59,12 @@ def _levelwise(db: TransactionDatabase, keep, max_size: int | None):
             yield survivors
         alive = set(survivors)
         nxt = []
-        for a, b in combinations(survivors, 2):
-            if a[:-1] != b[:-1]:
-                continue
-            cand = a + (b[-1],)
-            if all(cand[:j] + cand[j + 1:] in alive for j in range(len(cand))):
-                nxt.append(cand)
+        # survivors are sorted, so itemsets sharing all but their last item are adjacent
+        for _, group in groupby(survivors, key=lambda it: it[:-1]):
+            for a, b in combinations(group, 2):
+                cand = a + (b[-1],)
+                if all(cand[:j] + cand[j + 1:] in alive for j in range(len(cand))):
+                    nxt.append(cand)
         level = sorted(nxt)
         k += 1
 
@@ -103,21 +102,43 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
 
 def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int, ...], int]]:
     """All nonempty closed itemsets with support >= min_support (>= 1), as
-    (itemset, support) pairs in (size, lexicographic) order."""
+    (itemset, support) pairs in (size, lexicographic) order.
+
+    Prefix-preserving closure extension (LCM, Uno, Kiyomi & Arimura 2004)
+    over the columns present, closure(t) being the items whose tidset
+    contains t: from closed P, an item i past the one that made P gives
+    closure(tid(P u {i})), kept when it adds no item below i, so each closed
+    set is reached once. The walk starts at the empty itemset, so its
+    closure is reached as the extension by the smallest item it holds.
+    """
     tau = resolve_min_support(min_support, len(db))
     if tau < 1:
         raise ValueError(f"closed mining needs min support >= 1, got {min_support}")
-    supports: dict[tuple[int, ...], int] = {}
-
-    def frequent(items) -> bool:
-        supports[items] = s = support(db, items)
-        return s >= tau
-
+    every = db.tidset(())
+    items, cols = [], []
+    for i, col in sorted(db.columns()):
+        if col & every:
+            items.append(i)
+            cols.append(col & every)
     out = []
-    for level in _levelwise(db, frequent, None):
-        for items in level:
-            if is_closed(db, items):
-                out.append((items, supports[items]))
+    stack = [(every, 0, -1)]  # (tidset, closed set as a mask of item ranks, rank that made it)
+    while stack:
+        t, closed, core = stack.pop()
+        for i in range(core + 1, len(cols)):
+            u = t & cols[i]
+            if closed >> i & 1 or u.bit_count() < tau:
+                continue
+            grown = closed | 1 << i
+            for j, col in enumerate(cols):
+                if not grown >> j & 1 and col & u == u:
+                    if j < i:
+                        break
+                    grown |= 1 << j
+            else:
+                out.append((tuple(it for j, it in enumerate(items) if grown >> j & 1),
+                            u.bit_count()))
+                stack.append((u, grown, i))
+    out.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return out
 
 

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import chain, compress, count, repeat
 from operator import ne
 
-from .dataset import TransactionDatabase, canon_items, support
+from .dataset import TransactionDatabase, _ones, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -147,55 +147,80 @@ class ClosedCoefficients:
         return self.min_support <= 1 or self.supp - k >= self.min_support
 
 
+class ClosedFamilyIndex:
+    """A closed family indexed once for many closed_coefficients queries:
+    canonical members in (size, lexicographic) order, the full itemset over
+    n_items added with support 0 when missing, their supports and masks, and
+    per item the bitset of the member positions (the full one aside) holding
+    it. n_items defaults to one past the widest item of the family or cover.
+    """
+
+    def __init__(self, family, n_items: int | None = None, cover=()):
+        fam = {}
+        for f_items, f_supp in family:
+            fi = canon_items(f_items)
+            f_supp = int(f_supp)
+            if fi in fam and fam[fi] != f_supp:
+                raise ValueError(f"family lists {fi} twice with different supports")
+            fam[fi] = f_supp
+        if n_items is None:
+            n_items = max((it[-1] for it in chain(fam, [tuple(cover)]) if it), default=-1) + 1
+        self.n_items = n_items
+        full = tuple(range(n_items))
+        fam.setdefault(full, 0)
+        self.members = sorted(fam, key=lambda it: (len(it), it))
+        self.supports = [fam[it] for it in self.members]
+        self.masks, self.holders = [], {}
+        for p, it in enumerate(self.members):
+            if it == full:
+                mask, self.full_bit = (1 << n_items) - 1, 1 << p
+            else:
+                mask = 0
+                for i in it:
+                    mask |= 1 << i
+                    self.holders[i] = self.holders.get(i, 0) | 1 << p
+            self.masks.append(mask)
+
+    def supersets(self, x: tuple[int, ...]) -> list[int]:
+        """Positions of the members containing x, in member order."""
+        sup = (1 << len(self.members)) - 1
+        for i in x:
+            sup &= self.holders.get(i, 0)
+        return _ones(sup | self.full_bit)
+
+
 def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
                         min_support: int = 1) -> ClosedCoefficients:
     """Inclusion-exclusion coefficients of closedness robustness from a closed family.
 
-    family: (itemset, support) pairs, the closed itemsets mined at
-    min_support. The full itemset is added with support 0 when missing; the
-    family is filtered to supersets of X and walked in subset order, each
+    family: a ClosedFamilyIndex, or (itemset, support) pairs, the closed
+    itemsets mined at min_support, which are indexed first (n_items then
+    sets the index width). The full itemset is present with support 0 when
+    the family lacks it; the supersets of X are walked in subset order, each
     superset Y receiving multiplier e(Y) = -sum of e over processed proper
-    subsets (e(X) = 1 when X itself is in the family). Coefficient k collects
-    the multipliers of supersets with support supp_x - k.
+    subsets (e(X) = 1 when X itself is in the family). Coefficient k
+    collects the multipliers of supersets with support supp_x - k.
     """
     x = canon_items(items)
-    fam = {}
-    for f_items, f_supp in family:
-        fi = canon_items(f_items)
-        f_supp = int(f_supp)
-        if fi in fam and fam[fi] != f_supp:
-            raise ValueError(f"family lists {fi} twice with different supports")
-        fam[fi] = f_supp
-    if n_items is None:
-        widest = max((it[-1] for it in list(fam) + [x] if it), default=-1)
-        n_items = widest + 1
-    full = tuple(range(n_items))
-    if x and x[-1] >= n_items:
-        raise ValueError(f"itemset {x} outside the {n_items}-item universe")
-    fam.setdefault(full, 0)
+    if not isinstance(family, ClosedFamilyIndex):
+        family = ClosedFamilyIndex(family, n_items, x)
+    elif n_items is not None and n_items != family.n_items:
+        raise ValueError(f"n_items={n_items} differs from the index's {family.n_items}")
+    if x and x[-1] >= family.n_items:
+        raise ValueError(f"itemset {x} outside the {family.n_items}-item universe")
+    supers = [(family.members[p], family.masks[p], family.supports[p])
+              for p in family.supersets(x)]
     # mined families list nonempty itemsets only; the empty itemset is closed
     # exactly when nothing else reaches its support (no full column)
-    if not x and () not in fam and all(s < supp_x for s in fam.values()):
-        fam[()] = supp_x
-
-    xmask = 0
-    for i in x:
-        xmask |= 1 << i
-    supers = []
-    for fi, fs in fam.items():
-        mask = 0
-        for i in fi:
-            mask |= 1 << i
-        if mask & xmask == xmask:
-            if fs > supp_x:
-                raise ValueError(f"superset {fi} has support {fs} > supp(X) = {supp_x}")
-            supers.append((len(fi), fi, mask, fs))
-    supers.sort(key=lambda rec: (rec[0], rec[1]))
+    if not x and family.members[0] != () and max(family.supports) < supp_x:
+        supers.insert(0, ((), 0, supp_x))
 
     e_vals: dict[tuple[int, ...], int] = {}
     masks: list[tuple[int, int]] = []  # (mask, e) in processed order
     coeffs: dict[int, int] = {}
-    for _, fi, mask, fs in supers:
+    for fi, mask, fs in supers:
+        if fs > supp_x:
+            raise ValueError(f"superset {fi} has support {fs} > supp(X) = {supp_x}")
         if fi == x:
             e = 1
         else:
@@ -279,7 +304,8 @@ def _rank_cmp(a: OrderKey, b: OrderKey) -> int:
 
 def order_key(db: TransactionDatabase, items, kind: PredicateKind,
               closed_family=None, closed_min_support: int = 1) -> OrderKey:
-    """Build the ranking key for one itemset."""
+    """Build the ranking key for one itemset; closed_family may be a
+    ClosedFamilyIndex, as rank passes it."""
     items = canon_items(items)
     if kind is PredicateKind.CLOSED:
         if closed_family is None:
@@ -295,6 +321,8 @@ def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
          closed_family=None, closed_min_support: int = 1) -> list[tuple[tuple[int, ...], OrderKey]]:
     """Sort itemsets most-robust-first; ties fall back to larger support,
     then lexicographic itemset. Deterministic for identical inputs."""
+    if kind is PredicateKind.CLOSED and closed_family is not None:
+        closed_family = ClosedFamilyIndex(closed_family, db.n_items)
     keys = [order_key(db, it, kind, closed_family, closed_min_support)
             for it in itemsets]
     keys.sort(key=cmp_to_key(_rank_cmp))

@@ -81,8 +81,8 @@ def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
     """Probability the itemset stays closed, from the complete closed family.
 
     closed_family must contain every nonempty closed itemset with its support
-    (threshold-1 mining); the full and empty itemsets are supplied
-    automatically when they belong in it.
+    (threshold-1 mining), as pairs or as a ClosedFamilyIndex; the full and
+    empty itemsets are supplied automatically when they belong in it.
     """
     items = canon_items(items)
     alpha = check_probability(alpha)
