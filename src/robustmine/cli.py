@@ -13,14 +13,15 @@ import json
 import math
 import sys
 
-from .dataset import (CapacityError, FimiParseError, TransactionDatabase,
-                      load_fimi, load_labels)
+from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
 from .experiments import (compliance, noise_mix, parameter_free_order, rank_distance,
                           robustness_bucket_order, sweep)
 from .mining import (MiningConfig, complete_closed_family, mine_closed, mine_robust,
                      resolve_min_support, top_k)
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
-from .ordering import comparison_exact, rank as rank_itemsets
+from .ordering import comparison_exact
+# unused here, but perfbench's tracer test checks that this binding is restored
+from .ordering import rank as rank_itemsets  # noqa: F401
 from .predicates import PredicateKind
 from .robustness import robustness
 
@@ -225,9 +226,11 @@ def cmd_experiment_noise(args) -> int:
         raise CliError(2, f"--eta must be in [0, 1], got {args.eta}")
     db = _load_db(args)
     tau = max(1, resolve_min_support(args.min_support, len(db)))
-    original = [items for items, _ in
-                _closed_ranking(db, tau)][: args.top_k or None]
-    noisy = [items for items, _ in _closed_ranking(noise_mix(db, args.eta, args.seed), tau)]
+    original = [rec.items for rec in
+                top_k(db, PredicateKind.CLOSED, 1 << 30, min_support=tau)][: args.top_k or None]
+    noisy = [rec.items for rec in
+             top_k(noise_mix(db, args.eta, args.seed), PredicateKind.CLOSED, 1 << 30,
+                   min_support=tau)]
     scores = compliance(original, noisy)
     noisy_pos = {items: j for j, items in enumerate(noisy, start=1)}
     records = [{"position": i, "items": list(items),
@@ -239,12 +242,6 @@ def cmd_experiment_noise(args) -> int:
                   lambda r: f"{r['position']}\t{_items_str(r['items'])}\t"
                             f"{r['noisy_position'] or '-'}\t{_fmt(r['compliance'])}")
     return 0
-
-
-def _closed_ranking(db: TransactionDatabase, tau: int):
-    family = mine_closed(db, tau)
-    return rank_itemsets(db, [items for items, _ in family], PredicateKind.CLOSED,
-                         closed_family=family, closed_min_support=tau)
 
 
 def cmd_experiment_rank_distance(args) -> int:

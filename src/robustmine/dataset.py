@@ -191,10 +191,6 @@ class TransactionDatabase:
             raise ValueError(f"item {i} outside 0..{self.n_items - 1}")
         return i
 
-    def item_mask(self, items: Iterable[int]) -> int:
-        """Bit mask for an itemset (bit i = item i); rejects items outside 0..n_items-1."""
-        return _bits([self._item(i) for i in items])
-
     def tidset(self, items: Iterable[int], absent: Iterable[int] = ()) -> int:
         """The counting primitive: the transactions holding every item of items and
         none of absent, as bits at column positions shared with sub-databases."""

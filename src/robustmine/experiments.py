@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dataset import TransactionDatabase, canon_items
-from .mining import MiningConfig, mine_robust
+from .mining import MiningConfig, _levelwise
 from .ordering import ClosedFamilyIndex, rank
-from .predicates import PredicateKind, survival_classes
+from .predicates import PredicateKind
 from .robustness import check_probability, robustness, survival
 
 
@@ -30,20 +30,17 @@ class SweepResult:
 
 
 def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
-          min_support=1, include_empty: bool = False,
-          max_size: int | None = None) -> SweepResult:
+          min_support=1) -> SweepResult:
     """Mined-itemset counts over the (alpha, rho) grid.
 
-    The predicate family is independent of alpha, so it is mined once, each
-    member's survival classes are counted once, and the grid only
-    re-thresholds robustness values. Counts equal a literal mine_robust run
-    at every grid point.
+    The predicate family is independent of alpha, so it is walked once at
+    alpha = 1, each member's survival classes are counted once, and the grid
+    only re-thresholds robustness values. Counts equal a literal mine_robust
+    run at every grid point.
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
-    family = mine_robust(db, MiningConfig(kind, alpha=1.0, rho=0.0, min_support=min_support,
-                                          max_size=max_size, include_empty=include_empty))
-    classes = [survival_classes(db, m.items, kind) for m in family]
+    classes = [c for _, _, c in _levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
     counts = {}
     for a in alphas:
         values = [survival(c, a) for c in classes]

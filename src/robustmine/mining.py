@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items, support
-from .ordering import OrderKey, rank
-from .predicates import PredicateKind, classes_hold, evaluate_predicate, survival_classes
+from .ordering import OrderKey, _key_payload, rank
+from .predicates import PredicateKind, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
 
 
@@ -46,20 +47,53 @@ class MinedItemset:
     robustness: float
 
 
-def _levelwise(db: TransactionDatabase, keep, max_size: int | None):
-    """Generic Apriori walk: keep(items) decides survival, levels are yielded
-    as sorted lists of surviving itemsets. A negative max_size is rejected."""
+def _levelwise(db: TransactionDatabase, config: MiningConfig):
+    """The Apriori walk behind every non-closed miner. A candidate survives
+    when its support reaches min_support, the predicate holds and its
+    robustness at alpha reaches rho; its survival classes are counted once
+    and give both the robustness and the ranking key. Members are yielded as
+    (key, robustness, classes) triples, level by level in lexicographic
+    itemset order, the empty itemset first when include_empty is set and it
+    survives; the walk keeps only their itemsets, for the join. Level 1
+    holds every id at min_support 0 (an absent item can qualify there) and
+    only the items present otherwise. A negative max_size is rejected."""
+    kind = config.kind
+    if kind is PredicateKind.CLOSED:
+        raise ValueError("closedness is not downward closed; use mine_closed or top_k")
+    alpha = check_probability(config.alpha)
+    rho = check_probability(config.rho, "rho")
+    tau = resolve_min_support(config.min_support, len(db))
+    max_size = config.max_size
     if max_size is not None and max_size < 0:
         raise ValueError(f"max size must be >= 0, got {max_size}")
-    level = [ (i,) for i in range(db.n_items) ]
+
+    def keep(items):
+        s = support(db, items)
+        # the reference test, not classes_hold on the classes below: perfbench's
+        # mining.predicate_yield counts evaluate_predicate calls under the miner
+        if s < tau or not evaluate_predicate(db, items, kind):
+            return None
+        classes = survival_classes(db, items, kind)
+        # alpha = 1 deletes nothing, so a member holding the predicate survives surely
+        r = survival(classes, alpha) if alpha < 1.0 else 1.0
+        if r < rho:
+            return None
+        return OrderKey(kind, _key_payload(classes, len(db)), s, items), r, classes
+
+    if config.include_empty and (empty := keep(())):
+        yield empty
+    seeds = range(db.n_items) if tau < 1 else sorted(i for i, _ in db.columns())
+    level = [(i,) for i in seeds]
     k = 1
     while level and (max_size is None or k <= max_size):
-        survivors = [it for it in level if keep(it)]
-        if survivors:
-            yield survivors
+        survivors = []
+        for member in filter(None, map(keep, level)):
+            survivors.append(member[0].items)
+            yield member
+        # survivors keep the level's lexicographic order, so itemsets sharing
+        # all but their last item are adjacent
         alive = set(survivors)
         nxt = []
-        # survivors are sorted, so itemsets sharing all but their last item are adjacent
         for _, group in groupby(survivors, key=lambda it: it[:-1]):
             for a, b in combinations(group, 2):
                 cand = a + (b[-1],)
@@ -73,31 +107,13 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     """All itemsets holding the predicate with support >= min_support and
     robustness(alpha) >= rho. Output grouped by size, most robust first
     within each size."""
-    kind = config.kind
-    if kind is PredicateKind.CLOSED:
-        raise ValueError("closedness is not downward closed; use mine_closed or top_k")
-    alpha = check_probability(config.alpha)
-    rho = check_probability(config.rho, "rho")
-    tau = resolve_min_support(config.min_support, len(db))
-    scores: dict[tuple[int, ...], tuple[int, float]] = {}
-
-    def keep(items) -> bool:
-        s = support(db, items)
-        # the reference test, not the table's truth: perfbench's
-        # mining.predicate_yield counts evaluate_predicate calls under the miner
-        if s < tau or not evaluate_predicate(db, items, kind):
-            return False
-        r = survival(survival_classes(db, items, kind), alpha)
-        if r < rho:
-            return False
-        scores[items] = (s, r)
-        return True
-
-    out = [MinedItemset((), *scores[()])] if config.include_empty and keep(()) else []
-    for level in _levelwise(db, keep, config.max_size):
-        out += [MinedItemset(items, *scores[items])
-                for items, _key in rank(db, level, kind)]
-    return out
+    # classes are dropped as members arrive, so one level's keys are alive at
+    # a time; a level sorts by key alone, as comparing pairs would first test
+    # keys for equality
+    scored = ((key, r) for key, r, _ in _levelwise(db, config))
+    return [MinedItemset(key.items, key.support, r)
+            for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
+            for key, r in sorted(level, key=itemgetter(0))]
 
 
 def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int, ...], int]]:
@@ -175,17 +191,11 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         family = list(closed_family) if closed_family is not None else mine_closed(db, max(tau, 1))
         members = [it for it in (canon_items(f) for f, _ in family)
                    if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
-        ordered = rank(db, members, kind, closed_family=family,
-                       closed_min_support=max(tau, 1))
+        keys = [key for _, key in rank(db, members, kind, closed_family=family,
+                                       closed_min_support=max(tau, 1))]
     else:
-        def keep(items) -> bool:
-            return support(db, items) >= tau and classes_hold(survival_classes(db, items, kind))
-
-        members = [()] if include_empty and min_size == 0 and keep(()) else []
-
-        for level in _levelwise(db, keep, max_size):
-            if len(level[0]) >= min_size:
-                members.extend(level)
-        ordered = rank(db, members, kind)
-    return [RankedPattern(pos, items, key.support, key)
-            for pos, (items, key) in enumerate(ordered[:k], start=1)]
+        walk = _levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
+                                           include_empty=include_empty))
+        keys = sorted(key for key, _, _ in walk if len(key.items) >= min_size)
+    return [RankedPattern(pos, key.items, key.support, key)
+            for pos, key in enumerate(keys[:k], start=1)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from collections.abc import Sequence
 from itertools import chain, compress, count, repeat
 from operator import ne
@@ -281,6 +280,14 @@ class OrderKey:
             return "0"
         return ",".join(f"{k}:{c}" for k, c in sorted(sparse.items()))
 
+    def __lt__(self, other: "OrderKey") -> bool:
+        """Ranking order: a key sorts first when it is more robust near
+        alpha = 1, then when its support is larger, then by itemset."""
+        c = compare_keys(self, other)
+        if c != EQUAL:
+            return c == GREATER
+        return (-self.support, self.items) < (-other.support, other.items)
+
 
 def compare_keys(a: OrderKey, b: OrderKey) -> int:
     """LESS means a is less robust than b near alpha = 1 (ties not broken)."""
@@ -289,17 +296,6 @@ def compare_keys(a: OrderKey, b: OrderKey) -> int:
     if isinstance(a.payload, tuple):  # margin vectors
         return compare_sequences(a.payload, b.payload)
     return compare_polynomials(a.payload, b.payload)
-
-
-def _rank_cmp(a: OrderKey, b: OrderKey) -> int:
-    c = compare_keys(a, b)
-    if c != EQUAL:
-        return -c  # more robust first
-    if a.support != b.support:
-        return -1 if a.support > b.support else 1
-    if a.items != b.items:
-        return -1 if a.items < b.items else 1
-    return 0
 
 
 def order_key(db: TransactionDatabase, items, kind: PredicateKind,
@@ -323,9 +319,8 @@ def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
     then lexicographic itemset. Deterministic for identical inputs."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
         closed_family = ClosedFamilyIndex(closed_family, db.n_items)
-    keys = [order_key(db, it, kind, closed_family, closed_min_support)
-            for it in itemsets]
-    keys.sort(key=cmp_to_key(_rank_cmp))
+    keys = sorted(order_key(db, it, kind, closed_family, closed_min_support)
+                  for it in itemsets)
     return [(k.items, k) for k in keys]
 
 

@@ -44,8 +44,8 @@ def test_sweep_validation(toy):
         sweep(toy, PredicateKind.FREE, (0.5, 1.2), (0.0,))
     with pytest.raises(ValueError):
         sweep(toy, PredicateKind.FREE, (0.5,), (-0.1,))
-    with pytest.raises(ValueError, match="max size must be >= 0"):
-        sweep(toy, PredicateKind.FREE, (0.5,), (0.0,), max_size=-3)
+    with pytest.raises(ValueError, match="closedness is not downward closed"):
+        sweep(toy, PredicateKind.CLOSED, (0.5,), (0.0,))
 
 
 def test_noise_mix_identity_and_determinism(toy):
