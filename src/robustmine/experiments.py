@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .dataset import TransactionDatabase, canon_items
-from .mining import MiningConfig, _levelwise
+from .mining import MiningConfig, levelwise
 from .ordering import ClosedFamilyIndex, rank
 from .predicates import PredicateKind
 from .robustness import check_probability, robustness, survival
@@ -40,7 +40,7 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
-    classes = [c for _, _, c in _levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
+    classes = [c for *_, c in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
     counts = {}
     for a in alphas:
         values = [survival(c, a) for c in classes]

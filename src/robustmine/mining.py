@@ -47,16 +47,16 @@ class MinedItemset:
     robustness: float
 
 
-def _levelwise(db: TransactionDatabase, config: MiningConfig):
+def levelwise(db: TransactionDatabase, config: MiningConfig):
     """The Apriori walk behind every non-closed miner. A candidate survives
     when its support reaches min_support, the predicate holds and its
-    robustness at alpha reaches rho; its survival classes are counted once
-    and give both the robustness and the ranking key. Members are yielded as
-    (key, robustness, classes) triples, level by level in lexicographic
-    itemset order, the empty itemset first when include_empty is set and it
-    survives; the walk keeps only their itemsets, for the join. Level 1
-    holds every id at min_support 0 (an absent item can qualify there) and
-    only the items present otherwise. A negative max_size is rejected."""
+    robustness at alpha reaches rho, scored from one survival-class count.
+    Members are yielded as (items, support, robustness, classes), level by
+    level in lexicographic itemset order, the empty itemset first when
+    include_empty is set and it survives; the walk keeps only their
+    itemsets, for the join. Level 1 holds every id at min_support 0 (an
+    absent item can qualify there) and only the items present otherwise.
+    A negative max_size is rejected."""
     kind = config.kind
     if kind is PredicateKind.CLOSED:
         raise ValueError("closedness is not downward closed; use mine_closed or top_k")
@@ -74,11 +74,10 @@ def _levelwise(db: TransactionDatabase, config: MiningConfig):
         if s < tau or not evaluate_predicate(db, items, kind):
             return None
         classes = survival_classes(db, items, kind)
-        # alpha = 1 deletes nothing, so a member holding the predicate survives surely
-        r = survival(classes, alpha) if alpha < 1.0 else 1.0
+        r = survival(classes, alpha)
         if r < rho:
             return None
-        return OrderKey(kind, _key_payload(classes, len(db)), s, items), r, classes
+        return items, s, r, classes
 
     if config.include_empty and (empty := keep(())):
         yield empty
@@ -88,7 +87,7 @@ def _levelwise(db: TransactionDatabase, config: MiningConfig):
     while level and (max_size is None or k <= max_size):
         survivors = []
         for member in filter(None, map(keep, level)):
-            survivors.append(member[0].items)
+            survivors.append(member[0])
             yield member
         # survivors keep the level's lexicographic order, so itemsets sharing
         # all but their last item are adjacent
@@ -110,7 +109,9 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     # classes are dropped as members arrive, so one level's keys are alive at
     # a time; a level sorts by key alone, as comparing pairs would first test
     # keys for equality
-    scored = ((key, r) for key, r, _ in _levelwise(db, config))
+    dlen = len(db)
+    scored = ((OrderKey(config.kind, _key_payload(classes, dlen), s, items), r)
+              for items, s, r, classes in levelwise(db, config))
     return [MinedItemset(key.items, key.support, r)
             for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
             for key, r in sorted(level, key=itemgetter(0))]
@@ -194,8 +195,9 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         keys = [key for _, key in rank(db, members, kind, closed_family=family,
                                        closed_min_support=max(tau, 1))]
     else:
-        walk = _levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
-                                           include_empty=include_empty))
-        keys = sorted(key for key, _, _ in walk if len(key.items) >= min_size)
+        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
+                                          include_empty=include_empty))
+        keys = sorted(OrderKey(kind, _key_payload(classes, len(db)), s, items)
+                      for items, s, _, classes in walk if len(items) >= min_size)
     return [RankedPattern(pos, key.items, key.support, key)
             for pos, key in enumerate(keys[:k], start=1)]
