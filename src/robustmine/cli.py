@@ -15,7 +15,7 @@ import sys
 
 from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
 from .experiments import (compliance, noise_mix, parameter_free_order, rank_distance,
-                          robustness_bucket_order, sweep)
+                          robustness_bucket_order, sweep, walk_orders)
 from .mining import (MiningConfig, complete_closed_family, mine_closed, mine_robust,
                      resolve_min_support, top_k)
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
@@ -249,25 +249,23 @@ def cmd_experiment_rank_distance(args) -> int:
     alpha = _alpha_in_range(args)
     db = _load_db(args)
     tau = resolve_min_support(args.min_support, len(db))
-    family = None
     if kind is PredicateKind.CLOSED:
         family = mine_closed(db, max(tau, 1))
         members = [items for items, _ in family]
+        buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=family)
+        order = parameter_free_order(db, members, kind, closed_family=family)
     else:
-        members = [rec.items for rec in top_k(db, kind, k=1 << 30, min_support=tau,
-                                              include_empty=args.include_empty)]
-    if len(members) < 2:
-        raise CliError(2, f"only {len(members)} itemsets pass the filters; "
+        buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)
+    if len(order) < 2:
+        raise CliError(2, f"only {len(order)} itemsets pass the filters; "
                           "distance needs at least two")
-    buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=family)
-    order = parameter_free_order(db, members, kind, closed_family=family)
     try:
         dist = rank_distance(buckets, order)
     except ValueError as e:
         raise CliError(2, str(e)) from None
     _emit_records(args, "experiment rank-distance",
                   {"predicate": kind.value, "alpha": alpha, "min_support": tau,
-                   "itemsets": len(members), "input": str(args.input)},
+                   "itemsets": len(order), "input": str(args.input)},
                   [{"distance": dist}], "# predicate\talpha\tdistance",
                   lambda r: f"{kind.value}\t{_fmt(alpha)}\t{_fmt(r['distance'])}")
     return 0

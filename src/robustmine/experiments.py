@@ -7,11 +7,12 @@ serialization for the command line lives in the cli module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
 from .mining import MiningConfig, levelwise
-from .ordering import ClosedFamilyIndex, rank
+from .ordering import ClosedFamilyIndex, OrderKey, _key_payload, rank
 from .predicates import PredicateKind
 from .robustness import check_probability, robustness, survival
 
@@ -126,15 +127,28 @@ def robustness_bucket_order(db: TransactionDatabase, itemsets, kind: PredicateKi
     equal values share a bucket."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
         closed_family = ClosedFamilyIndex(closed_family, db.n_items)
-    scored: dict[float, list] = {}
-    for it in itemsets:
-        it = canon_items(it)
-        r = robustness(db, it, kind, alpha, closed_family=closed_family)
-        scored.setdefault(r, []).append(it)
-    return [sorted(scored[r]) for r in sorted(scored, reverse=True)]
+    return _buckets((it, robustness(db, it, kind, alpha, closed_family=closed_family))
+                    for it in map(canon_items, itemsets))
+
+
+def _buckets(scored) -> list[list[tuple[int, ...]]]:
+    ranked = sorted(scored, key=lambda pair: -pair[1])
+    return [sorted(it for it, _ in group) for _, group in groupby(ranked, key=itemgetter(1))]
 
 
 def parameter_free_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
                          closed_family=None) -> list:
     """Flat most-robust-first ranking from the parameter-free keys."""
     return [items for items, _ in rank(db, itemsets, kind, closed_family=closed_family)]
+
+
+def walk_orders(db: TransactionDatabase, kind: PredicateKind, alpha: float, min_support=1,
+                include_empty: bool = False):
+    """(robustness_bucket_order, parameter_free_order) of a non-closed family
+    from one walk, which counts each member's survival classes once."""
+    walk = list(levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
+                                           include_empty=include_empty)))
+    buckets = _buckets((items, survival(classes, alpha)) for items, _, _, classes in walk)
+    keys = sorted(OrderKey(kind, _key_payload(classes, len(db)), s, items)
+                  for items, s, _, classes in walk)
+    return buckets, [key.items for key in keys]

@@ -55,8 +55,9 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     level in lexicographic itemset order, the empty itemset first when
     include_empty is set and it survives; the walk keeps only their
     itemsets, for the join. Level 1 holds every id at min_support 0 (an
-    absent item can qualify there) and only the items present otherwise.
-    A negative max_size is rejected."""
+    absent item can qualify there, but joins nothing: a superset of it has an
+    empty cell in every class) and only the items present otherwise. A
+    negative max_size is rejected."""
     kind = config.kind
     if kind is PredicateKind.CLOSED:
         raise ValueError("closedness is not downward closed; use mine_closed or top_k")
@@ -87,7 +88,8 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     while level and (max_size is None or k <= max_size):
         survivors = []
         for member in filter(None, map(keep, level)):
-            survivors.append(member[0])
+            if k > 1 or member[1]:
+                survivors.append(member[0])
             yield member
         # survivors keep the level's lexicographic order, so itemsets sharing
         # all but their last item are adjacent
@@ -106,9 +108,8 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     """All itemsets holding the predicate with support >= min_support and
     robustness(alpha) >= rho. Output grouped by size, most robust first
     within each size."""
-    # classes are dropped as members arrive, so one level's keys are alive at
-    # a time; a level sorts by key alone, as comparing pairs would first test
-    # keys for equality
+    # one level's keys are alive at a time; a level sorts by key alone, as
+    # comparing pairs would first test keys for equality
     dlen = len(db)
     scored = ((OrderKey(config.kind, _key_payload(classes, dlen), s, items), r)
               for items, s, r, classes in levelwise(db, config))

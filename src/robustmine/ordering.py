@@ -4,7 +4,8 @@ Robustness, as a function of the deletion rate, is a polynomial in
 beta = 1 - alpha with integer coefficients. Two itemsets are compared by the
 first coefficient where those polynomials differ; for the free and
 totally-shattered properties the comparison collapses to an ordering of
-sorted cell-count sequences (margin vectors) that never expands a polynomial.
+sorted cell-count sequences (margin vectors) that never expands a polynomial,
+and non-derivability keys expand only as far as their first difference.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count
 from operator import ne
 
 from .dataset import TransactionDatabase, _ones, canon_items, support
@@ -82,18 +83,26 @@ def alpha_bound(x_items, y_items, d, kind: PredicateKind) -> float:
 
 
 def expand(cells: Sequence[int], max_degree: int) -> list[int]:
-    """Integer coefficients of prod(1 - beta**s for s in cells), degrees 0..max_degree.
+    """Integer coefficients of prod(1 - beta**s for s in cells), degrees
+    0..max_degree: the dense form of the sparse expansion ndi keys use."""
+    terms = _expand_terms(cells, max_degree)
+    return [terms.get(k, 0) for k in range(max_degree + 1)]
 
-    Shift-and-subtract per factor; exact arbitrary-precision arithmetic.
-    """
-    coeffs = [0] * (max_degree + 1)
-    coeffs[0] = 1
-    for s in cells:
+
+def _expand_terms(cells: Sequence[int], max_degree: int, start=None) -> dict[int, int]:
+    """{degree: coefficient} of start (1 by default) times prod(1 - beta**s for s
+    in cells) up to max_degree, exactly. Each factor shifts only the terms so
+    far: the work grows with the terms (<= 2**len(cells)), not max_degree."""
+    terms = dict(start or {0: 1})
+    for s in sorted(cells):
         if s < 0:
             raise ValueError(f"negative cell count {s}")
-        for i in range(max_degree, s - 1, -1):
-            coeffs[i] -= coeffs[i - s]
-    return coeffs
+        if s > max_degree:
+            break
+        for k, c in list(terms.items()):
+            if c and k + s <= max_degree:
+                terms[k + s] = terms.get(k + s, 0) - c
+    return terms
 
 
 def evaluate_poly(coeffs, beta: float) -> float:
@@ -107,22 +116,77 @@ def evaluate_poly(coeffs, beta: float) -> float:
 
 
 def ndi_polynomial(db: TransactionDatabase, items) -> list[int]:
-    """Coefficients (in beta = 1 - alpha) of the non-derivability robustness.
+    """Coefficients (in beta = 1 - alpha) of the non-derivability robustness:
+    the full expansion of its NdiPolynomial, a dense list of length |D| + 1."""
+    return NdiPolynomial(survival_classes(db, items, PredicateKind.NON_DERIVABLE), len(db)).dense()
 
-    r = o(odd) + o(even) - o(all), each o expanded exactly over the cell
-    counts of the corresponding parity class. Dense list of length |D| + 1.
+
+class NdiPolynomial:
+    """The non-derivability robustness r = 1 - (1 - o(A))(1 - o(B)) as an exact,
+    lazily expanded integer polynomial in beta = 1 - alpha of degree at most
+    `degree` (|D|). A and B are the parity classes, whose disjoint cells fail
+    independently, and o(C) = prod(1 - beta**s) over a class's cell counts.
+
+    1 - o(C) starts at degree min(C) with a positive coefficient, so r is 1 at
+    degree 0, 0 at degrees 1..lo-1 for lo = min(A) + min(B), and negative at
+    lo. At lo = 0 both classes hold an empty cell and r = 0; a class with no
+    cells never fails, so r = 1 and lo lies past the degree. Only the degrees
+    lo..d are expanded, d being the highest a comparison has needed.
     """
-    return _key_payload(survival_classes(db, items, PredicateKind.NON_DERIVABLE), len(db))
+
+    def __init__(self, classes: tuple[Sequence[int], Sequence[int]], degree: int):
+        self.classes, self.degree, self._window = classes, degree, []
+        a, b = classes
+        self.lo = min(a) + min(b) if len(a) and len(b) else degree + 1
+
+    def window(self, d: int) -> list[int]:
+        """Exact coefficients of degrees lo, lo + 1, ..., at least up to d."""
+        lo = self.lo
+        if lo + len(self._window) <= d:
+            a, b = self.classes
+            p = {k: -c for k, c in _expand_terms(a, d).items()}
+            p[0] += 1  # P = 1 - o(A), and r = 1 - P + P o(B), truncated at d
+            r = _expand_terms(b, d, p)
+            r[0] += 1
+            self._window = [0] * (d - lo + 1)
+            for k, c in r.items():
+                if k >= lo:
+                    self._window[k - lo] = c - p.get(k, 0)
+        return self._window
+
+    def dense(self) -> list[int]:
+        """Every coefficient, degrees 0..degree."""
+        lo, n = self.lo, self.degree
+        return ([1] + [0] * (min(lo, n + 1) - 1) if lo else []) + self.window(n)[:n - lo + 1]
+
+    def compare(self, other: "NdiPolynomial") -> int:
+        """First-differing-coefficient order, exact. The lower lo is less robust:
+        its coefficient there is negative (or r = 0) where the other's is 0 (or
+        1). On equal lo the windows are compared up to lo + 1, then twice as far
+        above lo on each tie; equal windows up to the degree prove equality."""
+        if self.lo != other.lo:
+            return LESS if self.lo < other.lo else GREATER
+        top, width = max(self.degree, other.degree), 1
+        while True:
+            d = min(self.lo + width, top)
+            x, y = self.window(d), other.window(d)  # each exact as far as it reaches
+            k = next(compress(count(), map(ne, x, y)), None)
+            if k is not None:
+                return LESS if x[k] < y[k] else GREATER
+            if d >= top:
+                return EQUAL
+            width *= 2
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NdiPolynomial) and self.compare(other) == EQUAL
 
 
 def _key_payload(classes, dlen: int):
     """Ranking payload from survival classes: one class gives its sorted margin
-    vector; two classes A, B give the polynomial o(A) + o(B) - o(A u B)."""
+    vector, the two ndi classes their lazy NdiPolynomial."""
     if len(classes) == 1:
         return tuple(sorted(classes[0]))
-    a, b = classes
-    return [x + y - z for x, y, z in zip(expand(a, dlen), expand(b, dlen),
-                                         expand(chain(a, b), dlen))]
+    return NdiPolynomial(classes, dlen)
 
 
 @dataclass(frozen=True)
@@ -242,13 +306,7 @@ def compare_polynomials(p, q) -> int:
 
 def _first_difference(p, q) -> tuple[int, int, int] | None:
     """(degree, p's coefficient, q's coefficient) at the lowest degree where
-    they differ, or None. Two dense lists are walked in step, a missing tail
-    reading as zeros, so dense ndi keys are never re-sparsified."""
-    if isinstance(p, list) and isinstance(q, list):
-        n = max(len(p), len(q))
-        pairs = map(ne, chain(p, repeat(0, n - len(p))), chain(q, repeat(0, n - len(q))))
-        k = next(compress(count(), pairs), None)
-        return None if k is None else (k, p[k] if k < len(p) else 0, q[k] if k < len(q) else 0)
+    they differ, or None."""
     dp, dq = _as_sparse(p), _as_sparse(q)
     k = next((k for k in sorted(set(dp) | set(dq)) if dp.get(k, 0) != dq.get(k, 0)), None)
     return None if k is None else (k, dp.get(k, 0), dq.get(k, 0))
@@ -259,12 +317,15 @@ def _as_sparse(p) -> dict:
         return p.coeffs
     if isinstance(p, dict):
         return {k: c for k, c in p.items() if c != 0}
+    if isinstance(p, NdiPolynomial):
+        p = p.dense()
     return {k: c for k, c in enumerate(p) if c != 0}
 
 
 @dataclass(frozen=True)
 class OrderKey:
-    """Comparison key for one itemset: margin vector or polynomial plus tie-breaks."""
+    """Comparison key for one itemset plus tie-breaks. The payload is a margin
+    vector (free, ts), an NdiPolynomial (ndi) or ClosedCoefficients (closed)."""
 
     kind: PredicateKind
     payload: object
@@ -290,11 +351,15 @@ class OrderKey:
 
 
 def compare_keys(a: OrderKey, b: OrderKey) -> int:
-    """LESS means a is less robust than b near alpha = 1 (ties not broken)."""
+    """LESS means a is less robust than b near alpha = 1 (ties not broken).
+    ndi keys expand no further than their first difference (in full only
+    when equal), through NdiPolynomial.compare."""
     if a.kind is not b.kind:
         raise ValueError("keys of different kinds are not comparable")
     if isinstance(a.payload, tuple):  # margin vectors
         return compare_sequences(a.payload, b.payload)
+    if isinstance(a.payload, NdiPolynomial):
+        return a.payload.compare(b.payload)
     return compare_polynomials(a.payload, b.payload)
 
 

@@ -2,14 +2,19 @@
 member's survival classes are counted once, keys order themselves, and level 1
 is seeded from the items present."""
 
+import random
+import time
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 import robustmine.predicates as predicates
 from conftest import random_db
-from robustmine import (MiningConfig, PredicateKind, compare_keys, mine_robust, order_key,
-                        parse_fimi, rank, robustness, sweep, top_k)
+from robustmine import (MiningConfig, PredicateKind, compare_keys, is_free, mine_robust,
+                        order_key, parameter_free_order, parse_fimi, rank,
+                        robustness, robustness_bucket_order, sweep, top_k)
+from robustmine.experiments import walk_orders
 
 KINDS = (PredicateKind.FREE, PredicateKind.NON_DERIVABLE, PredicateKind.TOTALLY_SHATTERED)
 HUGE_IDS = "".join(f"{50_000_000 + 7 * i} {49_999_000 + i} 3\n" for i in range(50))
@@ -45,6 +50,12 @@ def test_each_member_is_counted_once(toy, monkeypatch, kind):
         res = sweep(db, kind, (0.3, 0.8), (0.0, 0.5))
         assert calls[0] == res.counts[(0.3, 0.0)] == len(mined) - 1  # no empty itemset
 
+        calls[0] = 0
+        buckets, order = walk_orders(db, kind, 0.5, include_empty=True)
+        assert calls[0] == len(order) == len(mined)
+        assert buckets == robustness_bucket_order(db, order, kind, 0.5)
+        assert order == parameter_free_order(db, order, kind)
+
 
 def test_walk_keys_order_like_rank():
     db = random_db(11, 30, 6, 0.4)
@@ -67,6 +78,29 @@ def test_walk_seeds_absent_ids_only_at_min_support_zero():
     # at min support 0 an absent item qualifies: both of its cells are non-empty
     ndi = MiningConfig(PredicateKind.NON_DERIVABLE, alpha=0.5, min_support=0, max_size=1)
     assert {m.items for m in mine_robust(db, ndi)} == {(i,) for i in range(5)}
+
+
+def test_absent_ids_join_nothing_at_min_support_zero():
+    # 30 rows over ids 2150..2199: the 2,150 absent singletons are free, but a
+    # superset of one has an empty cell in every class, so none is joined
+    rng = random.Random(3)
+    db = parse_fimi("".join(" ".join(map(str, sorted(rng.sample(range(2150, 2200), 3)))) + "\n"
+                            for _ in range(30)))
+    present = sorted(i for i, _ in db.columns())
+    config = MiningConfig(PredicateKind.FREE, alpha=0.5, min_support=0, max_size=2)
+    start = time.perf_counter()
+    mined = mine_robust(db, config)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        assert mine_robust(db, config) == mined
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert {m.items for m in mined if len(m.items) == 1} == {(i,) for i in range(2200)}
+    assert {m.items for m in mined if len(m.items) == 2} == \
+        {p for p in combinations(present, 2) if is_free(db, p)}
 
 
 @pytest.mark.parametrize("run", [
