@@ -252,7 +252,9 @@ def cmd_experiment_rank_distance(args) -> int:
     if kind is PredicateKind.CLOSED:
         family = mine_closed(db, max(tau, 1))
         members = [items for items, _ in family]
-        buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=family)
+        # closed robustness needs every closed superset: score with the threshold-1 family
+        complete = family if tau <= 1 else complete_closed_family(db)
+        buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=complete)
         order = parameter_free_order(db, members, kind, closed_family=family)
     else:
         buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)

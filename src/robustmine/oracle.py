@@ -1,9 +1,19 @@
 """Independent checks of the analytic scores.
 
-The exhaustive path enumerates every subset of transactions by bitmask and
-re-evaluates the predicate on the sub-database whose keep-mask it is, summing
-exact subset probabilities. The Monte-Carlo path samples Bernoulli keep-masks
-from a counter-based generator, for databases too large to enumerate.
+Both oracles re-evaluate the predicate on sub-databases, but not once per
+subset of transactions: the predicate reads only which transaction patterns
+survive. For free, non-derivable and totally shattered itemsets a pattern is a
+transaction's projection onto X (the predicates test which cells are empty);
+for closed it is the full row of a transaction that contains X, and the rows
+without X form one group the predicate never reads. Each set of surviving
+patterns is evaluated once, on one representative transaction per pattern.
+
+The exhaustive path walks every subset of the P patterns, 2**P evaluations,
+and counts the transaction subsets behind each exactly: a pattern of
+multiplicity m survives in (1+x)**m - 1 ways by size. The Monte-Carlo path
+samples Bernoulli keep-masks from a counter-based generator, for databases
+too large to enumerate, and evaluates each distinct surviving pattern set
+once.
 """
 
 from __future__ import annotations
@@ -15,6 +25,36 @@ from .dataset import CapacityError, TransactionDatabase, canon_items
 from .predicates import PredicateKind, evaluate_predicate
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
+MC_CHUNK = 1024  # keep-masks drawn per block, to bound memory; the Philox stream is unchanged
+
+
+def _patterns(db: TransactionDatabase, items: tuple[int, ...],
+              kind: PredicateKind) -> tuple[list[list[int]], int]:
+    """(transaction indices of each distinct pattern, in order of first
+    occurrence; the number of transactions the predicate ignores)."""
+    xmask = 0
+    for i in items:
+        if i < db.n_items:  # an id outside the universe fails in evaluate_predicate
+            xmask |= 1 << i
+    closed = kind is PredicateKind.CLOSED
+    groups: dict[int, list[int]] = {}
+    ignored = 0
+    for j, row in enumerate(db.rows):
+        if closed and row & xmask != xmask:
+            ignored += 1
+        else:
+            groups.setdefault(row if closed else row & xmask, []).append(j)
+    return list(groups.values()), ignored
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials given by coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -22,9 +62,14 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
                        kind: PredicateKind) -> tuple[int, ...]:
     """counts[j] = number of size-j transaction subsets on which the predicate holds.
 
-    One full enumeration per (db, items, kind); the database is immutable, so
-    the result is cached and shared by exhaustive_robustness and
-    breakdown_vector across alphas. The cache is bounded because its keys
+    The sum over the pattern subsets S where it holds of [x**j] of
+    prod over p in S of ((1+x)**m_p - 1), times (1+x)**m0 for the m0 ignored
+    transactions. Each S is evaluated on its representatives; a subset that
+    holds is tallied by how many patterns of each multiplicity it keeps, and
+    each tally is expanded once at the end, so memory stays small however
+    many subsets there are. One walk per (db, items, kind); the database is
+    immutable, so the result is cached and shared by exhaustive_robustness
+    and breakdown_vector across alphas. The cache is bounded because its keys
     hold whole databases, at a size that still fits ~10k revisited triples.
     """
     n = len(db)
@@ -32,10 +77,29 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
         raise CapacityError(
             f"exhaustive enumeration over {n} transactions exceeds the "
             f"{EXHAUSTIVE_LIMIT}-transaction guard; use monte_carlo_robustness")
+    groups, ignored = _patterns(db, items, kind)
+    sizes = sorted({len(g) for g in groups})
+    # the representatives (first transactions) of the patterns of each multiplicity
+    classes = [sum(1 << g[0] for g in groups if len(g) == m) for m in sizes]
+    every = sum(classes)
+    held: dict[tuple[int, ...], int] = {}
+    keep = 0  # the empty set first, then every subset of the representatives in turn
+    while True:
+        if evaluate_predicate(db.subset_mask(keep), items, kind):
+            tally = tuple((keep & c).bit_count() for c in classes)
+            held[tally] = held.get(tally, 0) + 1
+        if keep == every:
+            break
+        keep = (keep - every) & every
     counts = [0] * (n + 1)
-    for mask in range(1 << n):
-        if evaluate_predicate(db.subset_mask(mask), items, kind):
-            counts[mask.bit_count()] += 1
+    for tally, times in held.items():
+        poly = [math.comb(ignored, j) for j in range(ignored + 1)]  # (1+x)**m0
+        for m, k in zip(sizes, tally):
+            grow = [0] + [math.comb(m, j) for j in range(1, m + 1)]  # (1+x)**m - 1
+            for _ in range(k):
+                poly = _times(poly, grow)
+        for j, c in enumerate(poly):
+            counts[j] += times * c
     return tuple(counts)
 
 
@@ -71,7 +135,9 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
 
     Returns (estimate, stderr) with the binomial standard error
     sqrt(p(1-p)/n). The Philox stream makes runs reproducible across
-    platforms; repeated subset draws reuse one predicate evaluation.
+    platforms; it is drawn MC_CHUNK keep-masks at a time, which yields the
+    same values as one draw. Samples that keep the same patterns share one
+    predicate evaluation.
     """
     import numpy as np
 
@@ -82,18 +148,29 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
         raise ValueError(f"need at least one sample, got {n_samples}")
     items = canon_items(items)
     n = len(db)
+    groups, _ = _patterns(db, items, kind)
+    columns = [j for g in groups for j in g]  # the transactions grouped by pattern
+    starts = np.cumsum([0] + [len(g) for g in groups])[:-1]
+    reps = [g[0] for g in groups]
     rng = np.random.Generator(np.random.Philox(seed))
-    keep_masks = rng.random((n_samples, n)) < alpha
-    # row j packed little-endian: bit i of the int keeps transaction i
-    packed = np.packbits(keep_masks, axis=1, bitorder="little")
     seen: dict[int, bool] = {}
     hits = 0
-    for row in packed:
-        mask = int.from_bytes(row.tobytes(), "little")
-        if mask not in seen:
-            sub = db.subset_mask(mask)
-            seen[mask] = evaluate_predicate(sub, items, kind)
-        hits += seen[mask]
+    for done in range(0, n_samples, MC_CHUNK):
+        keep_masks = rng.random((min(MC_CHUNK, n_samples - done), n)) < alpha
+        # a sample keeps pattern p when it keeps one of p's transactions; it is
+        # evaluated on one representative per surviving pattern
+        kept = np.zeros_like(keep_masks)
+        if groups:
+            kept[:, reps] = np.logical_or.reduceat(keep_masks[:, columns], starts, axis=1)
+        _, first, repeats = np.unique(np.packbits(kept[:, reps], axis=1, bitorder="little"),
+                                      axis=0, return_index=True, return_counts=True)
+        # row j packed little-endian: bit i of the int keeps transaction i
+        for row, repeat in zip(np.packbits(kept[first], axis=1, bitorder="little"),
+                               repeats.tolist()):
+            mask = int.from_bytes(row.tobytes(), "little")
+            if mask not in seen:
+                seen[mask] = evaluate_predicate(db.subset_mask(mask), items, kind)
+            hits += repeat * seen[mask]
     est = hits / n_samples
     stderr = math.sqrt(est * (1.0 - est) / n_samples)
     return est, stderr

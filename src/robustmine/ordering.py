@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import chain, compress, count
 from operator import ne
 
-from .dataset import TransactionDatabase, _ones, canon_items, support
+from .dataset import TransactionDatabase, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -245,11 +245,18 @@ class ClosedFamilyIndex:
             self.masks.append(mask)
 
     def supersets(self, x: tuple[int, ...]) -> list[int]:
-        """Positions of the members containing x, in member order."""
+        """Positions of the members containing x, in member order: a walk over
+        the set bits alone, as x has few closed supersets in a large family."""
         sup = (1 << len(self.members)) - 1
         for i in x:
             sup &= self.holders.get(i, 0)
-        return _ones(sup | self.full_bit)
+        sup |= self.full_bit
+        out = []
+        while sup:
+            low = sup & -sup
+            out.append(low.bit_length() - 1)
+            sup ^= low
+        return out
 
 
 def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,

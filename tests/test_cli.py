@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import TOY_TEXT
+from conftest import TOY_TEXT, random_db
 from robustmine import PredicateKind, sweep
 from robustmine.cli import main
 import robustmine.cli as cli
@@ -287,6 +287,21 @@ def test_rank_distance_command(capsys, toy_path):
                        "--predicate", "closed", "--alpha", "0.9")
     assert code == 0
     assert out.splitlines()[1] == "closed\t0.9\t0"
+
+
+def test_rank_distance_closed_above_min_support_one(capsys, tmp_path):
+    # the members come from the min-support-2 family, but their robustness
+    # needs every closed superset: scored from that family alone, one of them
+    # fell to -0.057 and the command raised ArithmeticError
+    db = random_db(0, 20, 6, 0.5)
+    path = tmp_path / "db.fimi"
+    path.write_text("".join(" ".join(map(str, db.row_items(j))) + "\n" for j in range(len(db))))
+    code, out, err = run(capsys, "experiment", "rank-distance", "--input", str(path),
+                         "--predicate", "closed", "--alpha", "0.3", "--min-support", "2")
+    assert code == 0 and err == ""
+    predicate, alpha, distance = out.splitlines()[1].split("\t")
+    assert (predicate, alpha) == ("closed", "0.3")
+    assert 0.0 <= float(distance) <= 100.0  # a percentage of discordant pairs
 
 
 def test_argparse_errors_exit_2(capsys, toy_path):

@@ -1,0 +1,145 @@
+"""The pattern-grouped oracles against the plain ones they replaced.
+
+The exhaustive oracle walks subsets of distinct transaction patterns; its
+counts must equal, exactly, those of the plain 2**|D| enumeration in
+plain_oracle.py. The Monte-Carlo oracle evaluates each surviving pattern set
+once and draws its keep-masks in chunks; its (estimate, stderr) must equal
+that of the per-mask loop below, which draws them in one block.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import robustmine.oracle as oracle
+from conftest import TOY_TEXT, databases, random_db
+from plain_oracle import plain_counts
+from robustmine import (CapacityError, PredicateKind, TransactionDatabase, canon_items,
+                        evaluate_predicate, exhaustive_robustness, monte_carlo_robustness,
+                        parse_fimi)
+from robustmine.cli import main
+
+grouped_counts = oracle._satisfied_by_size.__wrapped__  # uncached
+
+
+def assert_same_counts(db, itemsets):
+    for items in map(canon_items, itemsets):
+        for kind in PredicateKind:
+            assert grouped_counts(db, items, kind) == plain_counts(db, items, kind), \
+                (db.rows, items, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(databases(), st.data())
+@example(([], 0), None)
+@example(([[0, 1, 2]] * 4, 5), None)
+def test_grouped_counts_equal_plain(case, data):
+    db = TransactionDatabase(*case)
+    itemsets = [()]
+    if data is not None and db.n_items:
+        itemsets += data.draw(st.lists(st.sets(st.integers(0, db.n_items - 1), min_size=1,
+                                               max_size=3), max_size=2))
+    assert_same_counts(db, itemsets)
+
+
+@pytest.mark.parametrize("db, itemsets", [
+    (TransactionDatabase([]), [()]),
+    (TransactionDatabase([], n_items=3), [(), (0,), (0, 2)]),
+    (parse_fimi("\n  \n\n"), [()]),
+    (TransactionDatabase([[0], [0, 1], [1], []], n_items=5), [(), (0,), (0, 1), (3, 4), (0, 1, 2, 3, 4)]),
+    (parse_fimi(TOY_TEXT), [(), (0,), (1, 3, 4), (0, 2), (0, 1, 2, 3, 4)]),
+    (random_db(16, 16, 5, 0.5), [(1, 3)]),
+], ids=["empty", "empty-3-items", "blank-lines", "wide-universe", "toy", "16-rows"])
+def test_grouped_counts_explicit_cases(db, itemsets):
+    assert_same_counts(db, itemsets)
+
+
+def test_identical_rows_make_two_evaluations(monkeypatch):
+    db = TransactionDatabase([[0, 1, 2]] * 12, n_items=4)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_predicate(*args)
+
+    monkeypatch.setattr(oracle, "evaluate_predicate", counting)
+    for kind in PredicateKind:
+        for items in [(), (0, 1), (3,)]:
+            calls.clear()
+            assert grouped_counts(db, items, kind) == plain_counts(db, items, kind)
+            # one pattern (or none, for closed when no row holds the itemset)
+            assert len(calls) == (1 if kind is PredicateKind.CLOSED and items == (3,) else 2)
+
+
+def per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed):
+    """Every keep-mask drawn in one block and evaluated per distinct mask."""
+    items = canon_items(items)
+    rng = np.random.Generator(np.random.Philox(seed))
+    packed = np.packbits(rng.random((n_samples, len(db))) < alpha, axis=1, bitorder="little")
+    seen, hits = {}, 0
+    for row in packed:
+        mask = int.from_bytes(row.tobytes(), "little")
+        if mask not in seen:
+            seen[mask] = evaluate_predicate(db.subset_mask(mask), items, kind)
+        hits += seen[mask]
+    est = hits / n_samples
+    return est, math.sqrt(est * (1.0 - est) / n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [1, oracle.MC_CHUNK - 1, oracle.MC_CHUNK,
+                                       oracle.MC_CHUNK + 1, 2 * oracle.MC_CHUNK + 1])
+def test_monte_carlo_equals_per_mask_reference(n_samples):
+    cases = [(TransactionDatabase([], n_items=2), [(), (0, 1)], 0.5),
+             (parse_fimi(TOY_TEXT), [(), (0, 1), (1, 3, 4)], 0.5),
+             (random_db(9, 40, 6, 0.4), [(0,), (2, 5), (0, 1, 3)], 0.2)]
+    for db, itemsets, alpha in cases:
+        for items in itemsets:
+            for kind in PredicateKind:
+                for seed in (0, 5):
+                    assert monte_carlo_robustness(db, items, kind, alpha, n_samples, seed) == \
+                        per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed), \
+                        (db.rows, items, kind, seed)
+
+
+def test_out_of_universe_items_fail_as_before():
+    db = parse_fimi(TOY_TEXT)
+    for kind in PredicateKind:
+        for items in [(9,), (0, 10 ** 12)]:
+            with pytest.raises(ValueError, match="outside 0..4"):
+                exhaustive_robustness(db, items, kind, 0.5)
+            with pytest.raises(ValueError, match="outside 0..4"):
+                monte_carlo_robustness(db, items, kind, 0.5, 10, 0)
+
+
+def run_verify(path, predicate, capsys):
+    start = time.perf_counter()
+    code = main(["verify", "--input", str(path), "--itemset", "0 1", "--predicate", predicate,
+                 "--alpha", "0.5", "--method", "exhaustive"])
+    return code, capsys.readouterr(), time.perf_counter() - start
+
+
+def test_exhaustive_verify_on_24_rows_is_fast(tmp_path, capsys):
+    # three row patterns over {0, 1}: the plain oracle would make 2**24 evaluations
+    rows = ["0 1 2", "0 3", "1 2 3", "0 1", "2", "0 1 2"] * 4
+    path = tmp_path / "db24.dat"
+    path.write_text("\n".join(rows) + "\n")
+    for kind in PredicateKind:
+        code, out, elapsed = run_verify(path, kind.value, capsys)
+        assert code == 0 and "verdict\tPASS" in out.out, out
+        assert elapsed < 1.0, (kind, elapsed)
+
+
+def test_exhaustive_guard_still_counts_transactions(tmp_path, capsys):
+    path = tmp_path / "db25.dat"
+    path.write_text("0 1\n" * 25)
+    for kind in PredicateKind:
+        code, out, _ = run_verify(path, kind.value, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err == ("robustmine: error: 25 transactions exceed the exhaustive guard "
+                           "of 24; rerun with --method mc\n")
+    db = parse_fimi("0 1\n" * 25)
+    with pytest.raises(CapacityError, match="25 transactions exceeds the 24-transaction guard"):
+        exhaustive_robustness(db, (0, 1), PredicateKind.FREE, 0.5)
