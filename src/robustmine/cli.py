@@ -176,8 +176,7 @@ def cmd_verify(args) -> int:
         if not 0 <= i < db.n_items:
             universe = f"0..{db.n_items - 1}" if db.n_items else "(the database has no items)"
             raise CliError(2, f"item {i} outside the database universe {universe}")
-    family = complete_closed_family(db) if kind is PredicateKind.CLOSED else None
-    analytic = robustness(db, items, kind, alpha, closed_family=family)
+    analytic = robustness(db, items, kind, alpha)
     lines = [f"analytic\t{_fmt(analytic)}"]
     if args.method == "exhaustive":
         if len(db) > EXHAUSTIVE_LIMIT:

@@ -177,6 +177,12 @@ class TransactionDatabase:
         return TransactionDatabase.__new__(TransactionDatabase)._share(
             self._cols, mask, self.n_items, self._all_tids)
 
+    def holding(self, items: Iterable[int]) -> "TransactionDatabase":
+        """Sub-database of the transactions holding every item of items: the
+        conditional database of the itemset, tidsets shared."""
+        return TransactionDatabase.__new__(TransactionDatabase)._share(
+            self._cols, self.tidset(items), self.n_items, self._all_tids)
+
     def to_matrix(self):
         """Dense 0/1 numpy matrix of shape (len(self), n_items)."""
         import numpy as np

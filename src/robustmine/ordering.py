@@ -11,15 +11,19 @@ and non-derivability keys expand only as far as their first difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from collections.abc import Sequence
-from itertools import chain, compress, count
+from dataclasses import dataclass, field
+from itertools import chain, compress, count, zip_longest
 from operator import ne
 
-from .dataset import TransactionDatabase, canon_items, support
+from .dataset import TransactionDatabase, _bits, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 
 LESS, EQUAL, GREATER = -1, 0, 1
+# bits of sub(Y) bitsets one ClosedFamilyIndex caches (8 MiB) before it starts over
+SUBSET_CACHE_BITS = 1 << 26
 
 
 def _one_class(kind: PredicateKind, what: str):
@@ -193,29 +197,48 @@ def _key_payload(classes, dlen: int):
 class ClosedCoefficients:
     """Sparse robustness polynomial for the closed property.
 
-    coeffs maps degree k -> integer coefficient; contributions maps each
-    participating closed superset to its signed multiplier. A coefficient is
-    exact when every superset at its support level was in the mined family:
-    supp - k >= the family's mining threshold, or the threshold was 1
-    (support-0 closed itemsets other than the always-added full itemset do
-    not exist, so a threshold-1 family is complete).
+    coeffs maps degree k -> integer coefficient, kept as its nonzero terms
+    in ascending degree order; contributions maps each participating closed
+    superset to its signed multiplier. A coefficient is exact when every
+    superset at its support level was in the mined family: supp - k >= the
+    family's mining threshold, or the threshold was 1 (support-0 closed
+    itemsets other than the always-added full itemset do not exist, so a
+    threshold-1 family is complete).
     """
 
     coeffs: dict
     supp: int
     min_support: int = 1
-    contributions: dict = field(default_factory=dict, compare=False, repr=False)
+    # the multipliers of the listed supersets, and (n_items, multiplier) of a
+    # full itemset the family lacks, which contributions builds when read
+    multipliers: dict = field(default_factory=dict, compare=False, repr=False)
+    top: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        terms = sorted(self.coeffs.items())
+        object.__setattr__(self, "coeffs", {k: c for k, c in terms if c != 0})
+
+    @property
+    def contributions(self) -> dict:
+        if self.top is None:
+            return self.multipliers
+        n_items, e = self.top
+        return {**self.multipliers, tuple(range(n_items)): e}
 
     def is_exact(self, k: int) -> bool:
         return self.min_support <= 1 or self.supp - k >= self.min_support
 
 
 class ClosedFamilyIndex:
-    """A closed family indexed once for many closed_coefficients queries:
-    canonical members in (size, lexicographic) order, the full itemset over
-    n_items added with support 0 when missing, their supports and masks, and
-    per item the bitset of the member positions (the full one aside) holding
-    it. n_items defaults to one past the widest item of the family or cover.
+    """A closed family indexed once for many closed_coefficients queries.
+
+    Positions follow the canonical members in (size, lexicographic) order.
+    The last is the full itemset over n_items; when the family lacks it, it
+    is added with support 0 as that position alone, its items never listed.
+    Per item present, holders is the bitset of the positions below the full
+    itemset's whose members hold the item; size_bits[j] is the bitset of
+    those whose size has bit j set. n_items defaults to one past the widest
+    item of the family or cover; a member outside it is an error.
     """
 
     def __init__(self, family, n_items: int | None = None, cover=()):
@@ -228,35 +251,84 @@ class ClosedFamilyIndex:
             fam[fi] = f_supp
         if n_items is None:
             n_items = max((it[-1] for it in chain(fam, [tuple(cover)]) if it), default=-1) + 1
+        outside = next((it for it in fam if it and it[-1] >= n_items), None)
+        if outside is not None:
+            raise ValueError(f"family itemset {outside} outside the {n_items}-item universe")
         self.n_items = n_items
-        full = tuple(range(n_items))
-        fam.setdefault(full, 0)
         self.members = sorted(fam, key=lambda it: (len(it), it))
         self.supports = [fam[it] for it in self.members]
-        self.masks, self.holders = [], {}
-        for p, it in enumerate(self.members):
-            if it == full:
-                mask, self.full_bit = (1 << n_items) - 1, 1 << p
-            else:
-                mask = 0
-                for i in it:
-                    mask |= 1 << i
-                    self.holders[i] = self.holders.get(i, 0) | 1 << p
-            self.masks.append(mask)
+        if not self.members or len(self.members[-1]) < n_items:
+            self.supports.append(0)
+        self.top = len(self.supports) - 1
+        self.below_top = (1 << self.top) - 1
+        positions = defaultdict(list)
+        for p, it in enumerate(self.members[:self.top]):
+            for i in it:
+                positions[i].append(p)
+        self.holders = {i: _bits(ps) for i, ps in positions.items()}
+        # the members of one size sit in one run of positions
+        sizes = [len(it) for it in self.members[:self.top]]
+        self.size_bits = [0] * (sizes[-1].bit_length() if sizes else 0)
+        for size in set(sizes):
+            run = (1 << bisect_right(sizes, size)) - (1 << bisect_left(sizes, size))
+            for j in range(size.bit_length()):
+                if size >> j & 1:
+                    self.size_bits[j] |= run
+        self._subsets: dict[int, int] = {}
+        self._cached_bits = 0
+
+    def size(self, p: int) -> int:
+        """Number of items of the member at position p."""
+        return len(self.members[p]) if p < len(self.members) else self.n_items
+
+    def itemset(self, p: int) -> tuple[int, ...]:
+        """The member at position p; only here is an unlisted full itemset built."""
+        return self.members[p] if p < len(self.members) else tuple(range(self.n_items))
 
     def supersets(self, x: tuple[int, ...]) -> list[int]:
         """Positions of the members containing x, in member order: a walk over
         the set bits alone, as x has few closed supersets in a large family."""
-        sup = (1 << len(self.members)) - 1
+        sup = self.below_top
         for i in x:
             sup &= self.holders.get(i, 0)
-        sup |= self.full_bit
+        sup |= 1 << self.top
         out = []
         while sup:
             low = sup & -sup
             out.append(low.bit_length() - 1)
             sup ^= low
         return out
+
+    def subsets(self, p: int) -> int:
+        """Bitset of the positions whose members are subsets of the member Y
+        at p, p included: the positions up to p that hold as many of Y's items
+        as they have items. Those counts are summed bit-parallel, one bitset
+        per binary digit, so the cost follows |Y|, not the items present.
+        Cached until SUBSET_CACHE_BITS are held, then the cache starts over."""
+        sub = self._subsets.get(p)
+        if sub is None:
+            if p == self.top:
+                sub = self.below_top | 1 << p
+            else:
+                upto = (2 << p) - 1  # subsets precede their supersets
+                digits = []
+                for i in self.members[p]:
+                    carry = self.holders[i] & upto
+                    for j, d in enumerate(digits):
+                        digits[j], carry = d ^ carry, d & carry
+                        if not carry:
+                            break
+                    if carry:
+                        digits.append(carry)
+                sub = upto
+                for d, s in zip(digits, self.size_bits):
+                    sub &= ~(d ^ s)
+            if self._cached_bits > SUBSET_CACHE_BITS:
+                self._subsets.clear()
+                self._cached_bits = 0
+            self._subsets[p] = sub
+            self._cached_bits += sub.bit_length()
+        return sub
 
 
 def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
@@ -266,10 +338,15 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
     family: a ClosedFamilyIndex, or (itemset, support) pairs, the closed
     itemsets mined at min_support, which are indexed first (n_items then
     sets the index width). The full itemset is present with support 0 when
-    the family lacks it; the supersets of X are walked in subset order, each
-    superset Y receiving multiplier e(Y) = -sum of e over processed proper
-    subsets (e(X) = 1 when X itself is in the family). Coefficient k
-    collects the multipliers of supersets with support supp_x - k.
+    the family lacks it. The supersets Y of X are walked in subset order,
+    each receiving the Moebius multiplier e(Y) = mu(X, Y) of the closed
+    lattice: e(X) = 1 when X itself is in the family, otherwise minus the
+    sum of e over the processed proper subsets of Y. That sum is read from
+    bitsets, as sum of v * |G_v & sub(Y)| over the processed positions G_v
+    with multiplier v and the positions sub(Y) of Y's subsets, so it costs
+    one AND per distinct multiplier, not one subset test per superset.
+    Coefficient k collects the multipliers of supersets with support
+    supp_x - k.
     """
     x = canon_items(items)
     if not isinstance(family, ClosedFamilyIndex):
@@ -278,31 +355,37 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
         raise ValueError(f"n_items={n_items} differs from the index's {family.n_items}")
     if x and x[-1] >= family.n_items:
         raise ValueError(f"itemset {x} outside the {family.n_items}-item universe")
-    supers = [(family.members[p], family.masks[p], family.supports[p])
-              for p in family.supersets(x)]
     # mined families list nonempty itemsets only; the empty itemset is closed
-    # exactly when nothing else reaches its support (no full column)
-    if not x and family.members[0] != () and max(family.supports) < supp_x:
-        supers.insert(0, ((), 0, supp_x))
-
-    e_vals: dict[tuple[int, ...], int] = {}
-    masks: list[tuple[int, int]] = []  # (mask, e) in processed order
-    coeffs: dict[int, int] = {}
-    for fi, mask, fs in supers:
+    # exactly when nothing else reaches its support (no full column). It has
+    # no position: as a subset of every Y, its multiplier 1 is a constant
+    base = int(not x and family.size(0) != 0 and max(family.supports) < supp_x)
+    positions = family.supersets(x)
+    x_pos = positions[0] if family.size(positions[0]) == len(x) else None
+    supports, subsets = family.supports, family.subsets
+    groups: dict[int, int] = {}  # nonzero multiplier v -> G_v
+    coeffs = {0: 1} if base else {}
+    es = []
+    for p in positions:
+        fs = supports[p]
         if fs > supp_x:
-            raise ValueError(f"superset {fi} has support {fs} > supp(X) = {supp_x}")
-        if fi == x:
+            raise ValueError(f"superset {family.itemset(p)} has support {fs} > supp(X) = {supp_x}")
+        if p == x_pos:
             e = 1
         else:
-            e = -sum(ez for mz, ez in masks if mz != mask and mz & mask == mz)
-        e_vals[fi] = e
-        masks.append((mask, e))
-        k = supp_x - fs
-        coeffs[k] = coeffs.get(k, 0) + e
-    if len(supers) >= 2 and sum(e_vals.values()) != 0:
+            sub, e = subsets(p), -base
+            for v, g in groups.items():
+                e -= v * (g & sub).bit_count()
+        if e:
+            groups[e] = groups.get(e, 0) | 1 << p
+        es.append(e)
+        coeffs[supp_x - fs] = coeffs.get(supp_x - fs, 0) + e
+    if base + len(es) >= 2 and base + sum(es) != 0:
         raise ArithmeticError("closed-family multipliers must cancel")
-    coeffs = {k: c for k, c in sorted(coeffs.items()) if c != 0}
-    return ClosedCoefficients(coeffs, supp_x, min_support, e_vals)
+    listed = family.members
+    multipliers = {(): 1} if base else {}
+    multipliers.update(zip((listed[p] for p in positions if p < len(listed)), es))
+    top = None if positions[-1] < len(listed) else (family.n_items, es[-1])
+    return ClosedCoefficients(coeffs, supp_x, min_support, multipliers, top)
 
 
 def compare_polynomials(p, q) -> int:
@@ -313,20 +396,24 @@ def compare_polynomials(p, q) -> int:
 
 def _first_difference(p, q) -> tuple[int, int, int] | None:
     """(degree, p's coefficient, q's coefficient) at the lowest degree where
-    they differ, or None."""
-    dp, dq = _as_sparse(p), _as_sparse(q)
-    k = next((k for k in sorted(set(dp) | set(dq)) if dp.get(k, 0) != dq.get(k, 0)), None)
-    return None if k is None else (k, dp.get(k, 0), dq.get(k, 0))
+    they differ, or None: the nonzero terms of both are walked in step."""
+    end = (math.inf, 0)
+    for (kp, cp), (kq, cq) in zip_longest(_as_sparse(p).items(), _as_sparse(q).items(),
+                                          fillvalue=end):
+        if kp != kq or cp != cq:
+            k = min(kp, kq)
+            return k, cp if kp == k else 0, cq if kq == k else 0
+    return None
 
 
 def _as_sparse(p) -> dict:
+    """The nonzero coefficients of a polynomial, in ascending degree order."""
     if isinstance(p, ClosedCoefficients):
         return p.coeffs
-    if isinstance(p, dict):
-        return {k: c for k, c in p.items() if c != 0}
     if isinstance(p, NdiPolynomial):
         p = p.dense()
-    return {k: c for k, c in enumerate(p) if c != 0}
+    terms = sorted(p.items()) if isinstance(p, dict) else enumerate(p)
+    return {k: c for k, c in terms if c != 0}
 
 
 @dataclass(frozen=True)

@@ -77,25 +77,32 @@ def robustness_non_derivable(db: TransactionDatabase, items, alpha: float) -> fl
 
 
 def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
-                            closed_family) -> float:
-    """Probability the itemset stays closed, from the complete closed family.
+                            closed_family=None) -> float:
+    """Probability the itemset stays closed, by inclusion-exclusion over its
+    closed supersets.
 
-    closed_family must contain every nonempty closed itemset with its support
-    (threshold-1 mining), as pairs or as a ClosedFamilyIndex; the full and
-    empty itemsets are supplied automatically when they belong in it.
+    closed_family, as pairs or as a ClosedFamilyIndex, must contain every
+    nonempty closed superset of the itemset with its support, as the
+    threshold-1 family does; the full and empty itemsets are supplied
+    automatically when they belong in it. When it is omitted, the closed
+    sets of the itemset's conditional database (the transactions holding it)
+    are mined: they are exactly its nonempty closed supersets, with the same
+    supports.
     """
     items = canon_items(items)
     alpha = check_probability(alpha)
+    if closed_family is None:
+        from .mining import mine_closed  # imported here: mining imports this module
+        closed_family = mine_closed(db.holding(items), 1)
     poly = closed_coefficients(items, closed_family, support(db, items), n_items=db.n_items)
     return _checked(evaluate_poly(poly.coeffs, 1.0 - alpha))
 
 
 def robustness(db: TransactionDatabase, items, kind: PredicateKind, alpha: float,
                closed_family=None) -> float:
-    """Analytic robustness: closed from its family, every other kind from its
-    survival classes."""
+    """Analytic robustness: closed from its closed supersets (closed_family,
+    or the itemset's own conditional family when omitted), every other kind
+    from its survival classes."""
     if kind is PredicateKind.CLOSED:
-        if closed_family is None:
-            raise ValueError("closed robustness requires the complete closed family")
         return robustness_closed_exact(db, items, alpha, closed_family)
     return survival(survival_classes(db, items, kind), alpha)

@@ -8,14 +8,19 @@ is_closed and the unindexed superset scan, rewritten here as they behaved.
 import sys
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
+import numpy  # noqa: F401  (imported before the memory traces, as the CLI's mc oracle loads it)
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import all_itemsets, databases
-from robustmine import (TransactionDatabase, closed_coefficients, is_closed, mine_closed,
-                        parse_fimi, resolve_min_support, support)
-from robustmine.ordering import ClosedFamilyIndex
+from conftest import all_itemsets, databases, random_db
+from robustmine import (ClosedCoefficients, PredicateKind, TransactionDatabase,
+                        closed_coefficients, compare_polynomials, complete_closed_family,
+                        is_closed, mine_closed, parse_fimi, rank, resolve_min_support,
+                        robustness, robustness_closed_exact, support)
+from robustmine.cli import main
+from robustmine.ordering import EQUAL, GREATER, LESS, ClosedFamilyIndex
 
 
 def reference_mine_closed(db, min_support=1):
@@ -129,6 +134,54 @@ def test_closed_coefficients_match_unindexed(case):
                 reference_closed_coefficients(x, family, s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(databases())
+@example(([], 0))
+@example(SHARED)
+def test_index_subsets_and_their_bounded_cache(case):
+    # sub(Y) from bit-parallel item counts == the members contained in Y, also
+    # with an empty member and when the cache starts over on every entry
+    db = TransactionDatabase(*case)
+    family = reference_mine_closed(db, 1)
+    for fam in (family, family + [((), len(db) + 1)]):
+        index = ClosedFamilyIndex(fam, db.n_items)
+        items = [index.itemset(p) for p in range(index.top + 1)]
+        for p, y in enumerate(items):
+            want = sum(1 << q for q, z in enumerate(items) if set(z) <= set(y))
+            assert index.subsets(p) == want == index.subsets(p), (y, items)
+    with mock.patch("robustmine.ordering.SUBSET_CACHE_BITS", 0):
+        index = ClosedFamilyIndex(family, db.n_items)
+        for x in all_itemsets(db.n_items):
+            s = support(db, x)
+            cc = closed_coefficients(x, index, s)
+            assert (cc.coeffs, cc.contributions) == \
+                reference_closed_coefficients(x, family, s, db.n_items)
+            assert len(index._subsets) <= 1
+
+
+def test_rank_keeps_the_subset_cache_within_its_bound():
+    # a 1,000-odd member family ranked under a small cache bound: the cached
+    # sub(Y) bitsets never hold much more than the bound, and the keys agree
+    db = random_db(4, 120, 12, 0.5)
+    family = mine_closed(db, 1)
+    members = [it for it, _ in family]
+    bound = 1 << 15
+    want = rank(db, members, PredicateKind.CLOSED, family)
+    held = []
+
+    def tracked(self, p, subsets=ClosedFamilyIndex.subsets):
+        sub = subsets(self, p)
+        held.append(sum(v.bit_length() for v in self._subsets.values()))
+        return sub
+
+    with mock.patch("robustmine.ordering.SUBSET_CACHE_BITS", bound), \
+            mock.patch.object(ClosedFamilyIndex, "subsets", tracked):
+        got = rank(db, members, PredicateKind.CLOSED, family)
+    assert len(family) > 1000 and max(held) <= bound + len(family) + 1
+    assert sum(held) > 10 * bound  # the walk did need more than the bound
+    assert [(it, k.payload.coeffs) for it, k in got] == [(it, k.payload.coeffs) for it, k in want]
+
+
 def test_closed_coefficients_errors_match_unindexed():
     cases = [
         ((0,), [((0,), 3), ((0,), 4)], 3, 2),  # one itemset, two supports
@@ -178,3 +231,99 @@ def test_mine_closed_deep_chain_runs_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert family == [(tuple(range(k + 1)), n - k) for k in range(n)]
+
+
+def test_closed_coefficients_atoms_below_the_top():
+    # m closed atoms whose pairwise joins are all the full itemset: mu(X, top) = m - 1,
+    # once from the empty itemset the walk inserts and once from a listed X
+    m = 5
+    for rows, x in (([[i] for i in range(m)], ()), ([[i, m] for i in range(m)], (m,))):
+        db = TransactionDatabase(rows)
+        family = mine_closed(db, 1)
+        n = db.n_items
+        cc = closed_coefficients(x, family, m, n)
+        assert (cc.coeffs, cc.contributions) == reference_closed_coefficients(x, family, m, n)
+        assert cc.contributions[tuple(range(n))] == m - 1
+        assert [e for it, e in cc.contributions.items() if len(it) == len(x) + 1] == [-1] * m
+
+
+def test_family_outside_the_universe_is_rejected():
+    with pytest.raises(ValueError, match="outside the 2-item universe"):
+        ClosedFamilyIndex([((0,), 3), ((1, 2), 1)], 2)
+    with pytest.raises(ValueError, match="outside the 2-item universe"):
+        closed_coefficients((0,), [((0, 2), 1)], 3, n_items=2)
+
+
+def test_hand_built_closed_keys_compare_by_their_nonzero_terms():
+    # coefficients listed out of degree order and with zero terms
+    a = ClosedCoefficients({3: 1, 0: 2, 1: 0}, 6)
+    assert compare_polynomials(a, ClosedCoefficients({0: 2, 3: 1}, 6)) == EQUAL
+    assert compare_polynomials(a, {0: 2, 2: 0, 3: 1}) == EQUAL
+    assert compare_polynomials(a, ClosedCoefficients({2: -1, 0: 2}, 6)) == GREATER
+    assert compare_polynomials(ClosedCoefficients({5: -1, 0: 2, 3: 1}, 6), a) == LESS
+    assert compare_polynomials(a, [2, 0, 0, 1, 0, 0]) == EQUAL
+
+
+def _without_family(db, x, alpha):
+    return robustness(db, x, PredicateKind.CLOSED, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(databases())
+@example(([], 0))
+@example(([], 3))
+@example(SHARED)
+@example(([[0, 1, 2]] * 3, 5))
+def test_closed_robustness_from_the_conditional_family(case):
+    # X's closed supersets are the closed sets of the rows holding X, same supports
+    db = TransactionDatabase(*case)
+    family = complete_closed_family(db)
+    index = ClosedFamilyIndex(family, db.n_items)
+    for x in all_itemsets(db.n_items):
+        conditional = mine_closed(db.holding(x), 1)
+        assert conditional == [(f, s) for f, s in family if set(x) <= set(f)]
+        for alpha in (0.0, 0.3, 1.0):
+            want = robustness(db, x, PredicateKind.CLOSED, alpha, closed_family=index)
+            assert _without_family(db, x, alpha) == want
+            assert robustness_closed_exact(db, x, alpha) == want
+
+
+def test_closed_robustness_without_family_edge_cases():
+    db = parse_fimi("0 1\n2\n0 1 3\n")
+    family = complete_closed_family(db)
+    cases = {(2, 3): 0.0,  # support 0: not closed in any subsample
+             (1,): None,  # not closed: its closure is {0, 1}
+             (): None,  # closed: no item holds every row
+             (0, 1, 2, 3): 1.0}  # the full item set, of support 0: always closed
+    assert support(db, (2, 3)) == 0 and not is_closed(db, (1,)) and is_closed(db, ())
+    for x, fixed in cases.items():
+        for alpha in (0.0, 0.3, 0.8, 1.0):
+            got = _without_family(db, x, alpha)
+            assert got == robustness_closed_exact(db, x, alpha, family), (x, alpha)
+            assert fixed is None or got == fixed
+    blank = parse_fimi("\n  \n\n")
+    assert (len(blank), blank.n_items) == (0, 0)
+    assert _without_family(blank, (), 0.5) == \
+        robustness_closed_exact(blank, (), 0.5, complete_closed_family(blank)) == 1.0
+    with pytest.raises(ValueError, match="outside"):
+        _without_family(blank, (0,), 0.5)
+
+
+def test_closed_rank_and_verify_sparse_huge_ids_bounded_memory(tmp_path, capsys):
+    # the full itemset over ids near 5e6 is held by its position alone
+    path = tmp_path / "huge.dat"
+    path.write_text("".join(f"{5_000_000 + 3 * i} {4_999_000 + i} 3\n" for i in range(4)))
+    runs = [["rank", "--input", str(path), "--predicate", "closed"],
+            ["verify", "--input", str(path), "--itemset", "3", "--predicate", "closed",
+             "--alpha", "0.5", "--method", "mc", "--samples", "200"]]
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 16_000_000, (argv[0], peak)
+    out = capsys.readouterr().out
+    assert "1\t3\t4\t0:1,3:-4,4:3\texact" in out
+    assert "analytic\t0.6875" in out and "PASS" in out

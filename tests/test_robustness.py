@@ -91,9 +91,10 @@ def test_dispatcher(toy):
             assert robustness(toy, items, PredicateKind.NON_DERIVABLE, alpha) == robustness_non_derivable(toy, items, alpha)
             assert robustness(toy, items, PredicateKind.TOTALLY_SHATTERED, alpha) == robustness_totally_shattered(toy, items, alpha)
             assert robustness(toy, items, PredicateKind.CLOSED, alpha, closed_family=TOY_CLOSED) == \
-                robustness_closed_exact(toy, items, alpha, TOY_CLOSED)
+                robustness_closed_exact(toy, items, alpha, TOY_CLOSED) == \
+                robustness(toy, items, PredicateKind.CLOSED, alpha)  # X's own closed supersets
     with pytest.raises(ValueError):
-        robustness(toy, (0,), PredicateKind.CLOSED, 0.5)
+        robustness(toy, (5,), PredicateKind.CLOSED, 0.5)
 
 
 def test_alpha_range_is_validated(toy):
