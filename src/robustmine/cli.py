@@ -223,6 +223,8 @@ def cmd_experiment_sweep(args) -> int:
 def cmd_experiment_noise(args) -> int:
     if not 0.0 <= args.eta <= 1.0:
         raise CliError(2, f"--eta must be in [0, 1], got {args.eta}")
+    if args.top_k < 0:
+        raise CliError(2, f"--top-k must be >= 0, got {args.top_k}")
     db = _load_db(args)
     tau = max(1, resolve_min_support(args.min_support, len(db)))
     original = [rec.items for rec in

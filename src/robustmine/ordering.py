@@ -11,14 +11,12 @@ and non-derivability keys expand only as far as their first difference.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, zip_longest
 from operator import ne
 
-from .dataset import TransactionDatabase, _bits, canon_items, support
+from .dataset import TransactionDatabase, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -229,6 +227,20 @@ class ClosedCoefficients:
         return self.min_support <= 1 or self.supp - k >= self.min_support
 
 
+def _digit_sums(bitsets) -> list[int]:
+    """Bit-parallel counts: bit p of digits[j] is bit j of the number of the
+    bitsets that hold position p, one carry-save addition per bitset."""
+    digits = []
+    for carry in bitsets:
+        for j, d in enumerate(digits):
+            digits[j], carry = d ^ carry, d & carry
+            if not carry:
+                break
+        if carry:
+            digits.append(carry)
+    return digits
+
+
 class ClosedFamilyIndex:
     """A closed family indexed once for many closed_coefficients queries.
 
@@ -238,7 +250,8 @@ class ClosedFamilyIndex:
     Per item present, holders is the bitset of the positions below the full
     itemset's whose members hold the item; size_bits[j] is the bitset of
     those whose size has bit j set. n_items defaults to one past the widest
-    item of the family or cover; a member outside it is an error.
+    item of the family or cover; a member outside it is an error. Only the
+    members containing cover are indexed, after the whole family is checked.
     """
 
     def __init__(self, family, n_items: int | None = None, cover=()):
@@ -255,25 +268,15 @@ class ClosedFamilyIndex:
         if outside is not None:
             raise ValueError(f"family itemset {outside} outside the {n_items}-item universe")
         self.n_items = n_items
-        self.members = sorted(fam, key=lambda it: (len(it), it))
+        self.members = sorted(filter(set(cover).issubset, fam), key=lambda it: (len(it), it))
         self.supports = [fam[it] for it in self.members]
         if not self.members or len(self.members[-1]) < n_items:
             self.supports.append(0)
         self.top = len(self.supports) - 1
         self.below_top = (1 << self.top) - 1
-        positions = defaultdict(list)
-        for p, it in enumerate(self.members[:self.top]):
-            for i in it:
-                positions[i].append(p)
-        self.holders = {i: _bits(ps) for i, ps in positions.items()}
-        # the members of one size sit in one run of positions
-        sizes = [len(it) for it in self.members[:self.top]]
-        self.size_bits = [0] * (sizes[-1].bit_length() if sizes else 0)
-        for size in set(sizes):
-            run = (1 << bisect_right(sizes, size)) - (1 << bisect_left(sizes, size))
-            for j in range(size.bit_length()):
-                if size >> j & 1:
-                    self.size_bits[j] |= run
+        # the members below the top read as transactions; a size counts its holders
+        self.holders = dict(TransactionDatabase(self.members[:self.top], n_items).columns())
+        self.size_bits = _digit_sums(self.holders.values())
         self._subsets: dict[int, int] = {}
         self._cached_bits = 0
 
@@ -311,15 +314,7 @@ class ClosedFamilyIndex:
                 sub = self.below_top | 1 << p
             else:
                 upto = (2 << p) - 1  # subsets precede their supersets
-                digits = []
-                for i in self.members[p]:
-                    carry = self.holders[i] & upto
-                    for j, d in enumerate(digits):
-                        digits[j], carry = d ^ carry, d & carry
-                        if not carry:
-                            break
-                    if carry:
-                        digits.append(carry)
+                digits = _digit_sums([self.holders[i] & upto for i in self.members[p]])
                 sub = upto
                 for d, s in zip(digits, self.size_bits):
                     sub &= ~(d ^ s)

@@ -27,6 +27,11 @@ def random_db(seed, n_rows, n_items, density):
     return TransactionDatabase(rows, n_items=n_items)
 
 
+def row_items(db):
+    """Every transaction's sorted items, in database order."""
+    return [db.row_items(j) for j in range(len(db))]
+
+
 def small_corpus(count, base_seed=0, max_rows=10, max_items=6):
     """Deterministic stream of small databases with mixed shape and density."""
     densities = [0.2, 0.5, 0.8]

@@ -12,7 +12,7 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import all_itemsets, random_db
+from conftest import all_itemsets, random_db, row_items
 from plain_oracle import plain_robustness
 from robustmine import (
     EQUAL,
@@ -153,7 +153,7 @@ def test_criterion_2_oracle_equivalence(corpus, families):
                         analytic = robustness(db, items, kind, alpha, closed_family=fam)
                         brute = plain_robustness(db, items, kind, alpha)
                         assert abs(analytic - brute) <= 1e-9, \
-                            (db.rows, items, kind, alpha, analytic, brute)
+                            (row_items(db), items, kind, alpha, analytic, brute)
                         checked += 1
         assert checked > 50000
         assert c.elapsed() < 300.0
@@ -168,7 +168,7 @@ def test_criterion_3_monotonicity(corpus, families):
                     vals = [robustness(db, items, kind, a, closed_family=fam)
                             for a in GRID]
                     for lo, hi in zip(vals, vals[1:]):
-                        assert hi >= lo - 1e-12, (db.rows, items, kind, vals)
+                        assert hi >= lo - 1e-12, (row_items(db), items, kind, vals)
                 # closed robustness collapses onto the predicate at alpha = 1
                 assert robustness(db, items, PredicateKind.CLOSED, 1.0, closed_family=fam) \
                     == float(is_closed(db, items))
@@ -185,7 +185,7 @@ def test_criterion_3_monotonicity(corpus, families):
                         for alpha in (0.2, 0.5, 0.8):
                             assert robustness(db, bigger, kind, alpha) <= \
                                 robustness(db, items, kind, alpha) + 1e-12, \
-                                (db.rows, items, bigger, kind, alpha)
+                                (row_items(db), items, bigger, kind, alpha)
 
 
 def _cmp_tuple(a, b):
@@ -208,7 +208,7 @@ def test_criterion_4_ordering_soundness(corpus, families):
                 polys = {x: expand(vecs[x], n) for x in holders}
                 for x, y in itertools.combinations(holders, 2):
                     assert compare_sequences(vecs[x], vecs[y]) == \
-                        compare_polynomials(polys[x], polys[y]), (db.rows, kind, x, y)
+                        compare_polynomials(polys[x], polys[y]), (row_items(db), kind, x, y)
 
             # (b) breakdown-vector lexicographic order == rank-key order
             for kind in PredicateKind:
@@ -218,7 +218,7 @@ def test_criterion_4_ordering_soundness(corpus, families):
                 for x, y in itertools.combinations(holders, 2):
                     assert _cmp_tuple(breaks[x], breaks[y]) == \
                         -compare_keys(keys[x], keys[y]), \
-                        (db.rows, kind, x, y, breaks[x], breaks[y])
+                        (row_items(db), kind, x, y, breaks[x], breaks[y])
 
             # (c) numeric robustness respects the order from the bound upward
             for kind in margin_kinds:
@@ -236,15 +236,15 @@ def test_criterion_4_ordering_soundness(corpus, families):
                     for alpha in (bound, 0.99):
                         assert robustness(db, lo, kind, alpha) <= \
                             robustness(db, hi, kind, alpha) + 1e-12, \
-                            (db.rows, kind, lo, hi, alpha)
+                            (row_items(db), kind, lo, hi, alpha)
 
 
 def _all_supports(db):
     """supp of every itemset (as bit mask) via a superset-sum transform."""
     k = db.n_items
     cnt = [0] * (1 << k)
-    for row in db.rows:
-        cnt[row] += 1
+    for row in row_items(db):
+        cnt[sum(1 << i for i in row)] += 1
     for b in range(k):
         bit = 1 << b
         for mask in range(1 << k):
@@ -320,14 +320,14 @@ def test_criterion_6_miner_completeness(corpus):
                              and support(db, x) >= tau
                              and evaluate_predicate(db, x, kind)
                              and robustness(db, x, kind, alpha) >= rho}
-                    assert mined == brute, (db.rows, kind, alpha, rho, tau)
+                    assert mined == brute, (row_items(db), kind, alpha, rho, tau)
             for tau in (1, 2):
                 got = mine_closed(db, tau)
                 want = sorted(
                     ((x, support(db, x)) for x in sets
                      if x and support(db, x) >= tau and is_closed(db, x)),
                     key=lambda p: (len(p[0]), p[0]))
-                assert got == want, (db.rows, tau)
+                assert got == want, (row_items(db), tau)
 
 
 def test_criterion_7_monte_carlo_calibration():

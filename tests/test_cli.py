@@ -266,6 +266,18 @@ def test_noise_zero_eta_is_fully_compliant(capsys, toy_path):
         assert row[3] == "1"
 
 
+def test_noise_top_k_limits_rows_and_rejects_negative(capsys, toy_path):
+    base = ["experiment", "noise", "--input", toy_path, "--eta", "0.0", "--seed", "11"]
+    code, everything, _ = run(capsys, *base)
+    assert code == 0
+    code, first_two, _ = run(capsys, *base, "--top-k", "2")
+    assert code == 0 and first_two.splitlines() == everything.splitlines()[:3]
+    for bad in ("-1", "-2"):
+        code, out, err = run(capsys, *base, "--top-k", bad)
+        assert code == 2 and out == ""
+        assert err == f"robustmine: error: --top-k must be >= 0, got {bad}\n"
+
+
 def test_noise_json_positions(capsys, toy_path):
     code, out, _ = run(capsys, "experiment", "noise", "--input", toy_path,
                        "--eta", "0.3", "--seed", "11", "--format", "json")

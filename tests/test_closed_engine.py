@@ -327,3 +327,21 @@ def test_closed_rank_and_verify_sparse_huge_ids_bounded_memory(tmp_path, capsys)
     out = capsys.readouterr().out
     assert "1\t3\t4\t0:1,3:-4,4:3\texact" in out
     assert "analytic\t0.6875" in out and "PASS" in out
+
+
+def test_verify_on_ids_near_5e7_bounded_memory(tmp_path, capsys):
+    # the oracles split tidsets, so no structure grows with the largest item id
+    path = tmp_path / "huge.dat"
+    path.write_text("".join(f"{50_000_000 + 3 * i} {49_999_000 + i} 3\n" for i in range(4)))
+    verify = ["verify", "--input", str(path), "--itemset", "3", "--alpha", "0.5"]
+    runs = [verify + ["--predicate", kind.value] for kind in PredicateKind]
+    runs.append(verify + ["--predicate", "closed", "--method", "mc", "--samples", "200"])
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and "verdict\tPASS" in out and peak < 2_000_000, (argv[6:], peak)

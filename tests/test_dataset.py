@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import TOY_TEXT, all_itemsets, random_db, small_corpus
+from conftest import TOY_TEXT, all_itemsets, random_db, row_items, small_corpus
 from robustmine import (
     CapacityError,
     FimiParseError,
@@ -117,7 +117,7 @@ def test_matrix_round_trip(toy):
     assert m.shape == (6, 5)
     assert m.dtype == np.uint8
     back = TransactionDatabase.from_matrix(m)
-    assert back.rows == toy.rows
+    assert row_items(back) == row_items(toy)
     rebuilt = TransactionDatabase.from_matrix(np.zeros((0, 4), dtype=int))
     assert len(rebuilt) == 0 and rebuilt.n_items == 4
 
@@ -133,7 +133,7 @@ def test_subset_preserves_tids(toy):
 
 def test_db_is_immutable_and_hashable(toy):
     with pytest.raises(AttributeError):
-        toy.rows = ()
+        toy.n_items = 0
     other = parse_fimi(TOY_TEXT)
     assert toy == other
     assert hash(toy) == hash(other)

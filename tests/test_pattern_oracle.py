@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robustmine.oracle as oracle
-from conftest import TOY_TEXT, databases, random_db
+from conftest import TOY_TEXT, databases, random_db, row_items
 from plain_oracle import plain_counts
 from robustmine import (CapacityError, PredicateKind, TransactionDatabase, canon_items,
                         evaluate_predicate, exhaustive_robustness, monte_carlo_robustness,
@@ -29,7 +29,7 @@ def assert_same_counts(db, itemsets):
     for items in map(canon_items, itemsets):
         for kind in PredicateKind:
             assert grouped_counts(db, items, kind) == plain_counts(db, items, kind), \
-                (db.rows, items, kind)
+                (row_items(db), items, kind)
 
 
 @settings(max_examples=80, deadline=None)
@@ -101,7 +101,46 @@ def test_monte_carlo_equals_per_mask_reference(n_samples):
                 for seed in (0, 5):
                     assert monte_carlo_robustness(db, items, kind, alpha, n_samples, seed) == \
                         per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed), \
-                        (db.rows, items, kind, seed)
+                        (row_items(db), items, kind, seed)
+
+
+def sub_database_cases():
+    """Sub-databases whose keep-masks are not a prefix of the columns, so the
+    oracles map tidset positions back to transaction indices."""
+    toy = parse_fimi(TOY_TEXT)
+    dense = random_db(9, 40, 6, 0.4)
+    return [(toy.subset([1, 3, 4, 5]), [(), (0,), (1, 3), (0, 2, 4)]),
+            (toy.holding((0,)), [(), (0,), (1, 3), (0, 2, 4)]),
+            (toy.subset([0, 2, 3, 5]).holding((4,)), [(), (1,), (0, 3)]),
+            (dense.subset(range(1, 40, 3)), [(), (2, 5), (0, 1, 3)]),
+            (dense.holding((0, 4)), [(), (0,), (1, 2)])]
+
+
+def test_grouped_counts_on_sub_databases():
+    for db, itemsets in sub_database_cases():
+        assert_same_counts(db, itemsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(databases(), st.data())
+def test_grouped_counts_on_drawn_sub_databases(case, data):
+    db = TransactionDatabase(*case)
+    keep = data.draw(st.sets(st.integers(0, len(db) - 1))) if len(db) else set()
+    subs = [db.subset(sorted(keep))]
+    if db.n_items:
+        subs.append(db.holding(data.draw(st.sets(st.integers(0, db.n_items - 1), max_size=2))))
+    for sub in subs:
+        assert_same_counts(sub, [()] + [(i,) for i in range(min(sub.n_items, 3))])
+
+
+def test_monte_carlo_on_sub_databases_equals_per_mask_reference():
+    for db, itemsets in sub_database_cases():
+        for items in itemsets:
+            for kind in PredicateKind:
+                for alpha, seed in ((0.5, 0), (0.2, 5)):
+                    assert monte_carlo_robustness(db, items, kind, alpha, 300, seed) == \
+                        per_mask_monte_carlo(db, items, kind, alpha, 300, seed), \
+                        (row_items(db), db.tids, items, kind, seed)
 
 
 def test_out_of_universe_items_fail_as_before():
