@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import product
 
 # Cell tables enumerate 2**|X| value vectors; refuse wider queries by default.
 CELL_WIDTH_LIMIT = 20
@@ -49,13 +49,8 @@ def _bits(positions: Sequence[int]) -> int:
 
 
 def _ones(x: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending: a short or
-    dense x digit by digit, a long sparse one a run of zeros at a time (the
-    k-th set bit follows k set bits and the zeros of the runs before it)."""
-    digits = bin(x)[:1:-1]
-    if len(digits) < 64 or 4 * x.bit_count() > len(digits):
-        return [p for p, d in enumerate(digits) if d == "1"]
-    return [k + zeros for k, zeros in enumerate(accumulate(map(len, digits.split("1"))))][:-1]
+    """Positions of the set bits of a non-negative int, ascending."""
+    return [p for p, d in enumerate(bin(x)[:1:-1]) if d == "1"]
 
 
 class TransactionDatabase:

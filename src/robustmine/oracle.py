@@ -6,8 +6,9 @@ survive. For free, non-derivable and totally shattered itemsets a pattern is a
 transaction's projection onto X (the predicates test which cells are empty);
 for closed it is the full row of a transaction that contains X, and the rows
 without X form one group the predicate never reads. The patterns are read
-from the tidsets, by splitting them column by column; each set of surviving
-patterns is evaluated once, on one representative transaction per pattern.
+from `row_items`, which the database derives from its tidsets; each set of
+surviving patterns is evaluated once, on one representative transaction per
+pattern.
 
 The exhaustive path walks every subset of the P patterns, 2**P evaluations,
 and counts the transaction subsets behind each exactly: a pattern of
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .dataset import CapacityError, TransactionDatabase, _ones, canon_items
+from .dataset import CapacityError, TransactionDatabase, canon_items
 from .predicates import PredicateKind, evaluate_predicate
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
@@ -31,22 +32,20 @@ MC_CHUNK = 1024  # keep-masks drawn per block, to bound memory; the Philox strea
 
 def _patterns(db: TransactionDatabase, items: tuple[int, ...],
               kind: PredicateKind) -> tuple[list[list[int]], int]:
-    """(transaction indices of each distinct pattern, ascending; the number of
-    transactions the predicate ignores): the nonempty parts of all transactions
-    split by X's columns, or, for closed, of tid(X) split by every column."""
-    if kind is PredicateKind.CLOSED:
-        parts, cols = [db.tidset(items)], [col for _, col in db.columns()]
-    else:
-        parts, cols = [db.tidset(())], [db.tidset((i,)) for i in items]
-    for col in cols:
-        split = []
-        for p in parts:
-            q = p & col
-            split += (q, p ^ q) if q and q != p else (p,)
-        parts = split
-    index = {p: j for j, p in enumerate(db._positions)}  # column position -> transaction
-    groups = [[index[p] for p in _ones(part)] for part in parts if part]
-    return groups, len(db) - sum(map(len, groups))
+    """(transaction indices of each distinct pattern, in order of first
+    occurrence; the number of transactions the predicate ignores)."""
+    db.tidset(items)  # an id outside the universe is an error
+    xs = set(items)
+    closed = kind is PredicateKind.CLOSED
+    groups: dict[tuple[int, ...], list[int]] = {}
+    ignored = 0
+    for j in range(len(db)):
+        row = db.row_items(j)
+        if closed and not xs.issubset(row):
+            ignored += 1
+        else:
+            groups.setdefault(row if closed else tuple(filter(xs.__contains__, row)), []).append(j)
+    return list(groups.values()), ignored
 
 
 def _times(a: list[int], b: list[int]) -> list[int]:
