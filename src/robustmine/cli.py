@@ -14,14 +14,13 @@ import math
 import sys
 
 from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
-from .experiments import (compliance, noise_mix, parameter_free_order, rank_distance,
-                          robustness_bucket_order, sweep, walk_orders)
+from .experiments import (compliance, noise_mix, rank_distance, robustness_bucket_order,
+                          sweep, walk_orders)
 from .mining import (MiningConfig, complete_closed_family, mine_closed, mine_robust,
                      resolve_min_support, top_k)
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
 from .ordering import comparison_exact
-# unused here, but perfbench's tracer test checks that this binding is restored
-from .ordering import rank as rank_itemsets  # noqa: F401
+from .ordering import rank as rank_itemsets
 from .predicates import PredicateKind
 from .robustness import robustness
 
@@ -50,7 +49,8 @@ def _min_support(text: str):
 
 
 def _grid(text: str) -> tuple[float, ...]:
-    """Parse 'start:stop:step' or a comma-separated list of values."""
+    """Parse 'start:stop:step', whose points run up to stop and no further, or
+    a comma-separated list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -59,7 +59,8 @@ def _grid(text: str) -> tuple[float, ...]:
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
         n = round((stop - start) / step)
-        return tuple(round(start + i * step, 12) for i in range(n + 1))
+        points = (round(start + i * step, 12) for i in range(n + 1))
+        return tuple(p for p in points if p <= stop)
     return tuple(float(p) for p in text.split(","))
 
 
@@ -256,7 +257,7 @@ def cmd_experiment_rank_distance(args) -> int:
         # closed robustness needs every closed superset: score with the threshold-1 family
         complete = family if tau <= 1 else complete_closed_family(db)
         buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=complete)
-        order = parameter_free_order(db, members, kind, closed_family=family)
+        order = [items for items, _ in rank_itemsets(db, members, kind, closed_family=family)]
     else:
         buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)
     if len(order) < 2:

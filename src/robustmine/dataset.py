@@ -305,14 +305,15 @@ class CellTable:
         return odd, even
 
 
-def cell_table(db: TransactionDatabase, items: Sequence[int],
-               limit: int = CELL_WIDTH_LIMIT) -> CellTable:
+def cell_table(db: TransactionDatabase, items: Sequence[int]) -> CellTable:
     """Full table of generalized supports over all 2**|X| value vectors: the
-    tidset split by each item's column in turn. CapacityError guards |X| > limit."""
+    tidset split by each item's column in turn. CapacityError guards
+    |X| > CELL_WIDTH_LIMIT."""
     items = canon_items(items)
     m = len(items)
-    if m > limit:
-        raise CapacityError(f"cell table over {m} items exceeds the {limit}-item limit")
+    if m > CELL_WIDTH_LIMIT:
+        raise CapacityError(
+            f"cell table over {m} items exceeds the {CELL_WIDTH_LIMIT}-item limit")
     cells = [db.tidset(())]
     for x in items:
         col = db.tidset((x,))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .dataset import TransactionDatabase, canon_items, support
+from .dataset import TransactionDatabase, support
 from .ordering import OrderKey, _key_payload, rank
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
@@ -174,15 +174,15 @@ class RankedPattern:
 
 
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
-          min_size: int = 0, max_size: int | None = None, include_empty: bool = True,
-          closed_family=None) -> list[RankedPattern]:
+          min_size: int = 0, max_size: int | None = None,
+          include_empty: bool = True) -> list[RankedPattern]:
     """The k most robust members of the predicate family.
 
-    Closed: the family is mined at min_support (or taken from closed_family)
-    and ranked by its inclusion-exclusion keys. Other kinds: the predicate
-    family with support >= min_support, ranked by margin vector or
-    polynomial. The empty itemset participates when include_empty is set,
-    min_size is 0 and it passes the filters.
+    Closed: the family is mined at min_support (at least 1) and ranked by
+    its inclusion-exclusion keys. Other kinds: the predicate family with
+    support >= min_support, ranked by margin vector or polynomial. The empty
+    itemset participates when include_empty is set, min_size is 0 and it
+    passes the filters.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -190,11 +190,12 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         raise ValueError(f"bad size window [{min_size}, {max_size}]")
     tau = resolve_min_support(min_support, len(db))
     if kind is PredicateKind.CLOSED:
-        family = list(closed_family) if closed_family is not None else mine_closed(db, max(tau, 1))
-        members = [it for it in (canon_items(f) for f, _ in family)
+        tau = max(tau, 1)
+        family = mine_closed(db, tau)
+        members = [it for it, _ in family
                    if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
         keys = [key for _, key in rank(db, members, kind, closed_family=family,
-                                       closed_min_support=max(tau, 1))]
+                                       closed_min_support=tau)]
     else:
         walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
                                           include_empty=include_empty))

@@ -12,10 +12,11 @@ pattern.
 
 The exhaustive path walks every subset of the P patterns, 2**P evaluations,
 and counts the transaction subsets behind each exactly: a pattern of
-multiplicity m survives in (1+x)**m - 1 ways by size. The Monte-Carlo path
-samples Bernoulli keep-masks from a counter-based generator, for databases
-too large to enumerate, and evaluates each distinct surviving pattern set
-once.
+multiplicity m survives in (1+x)**m - 1 ways by size. The count polynomial
+is one Python integer, evaluated at x = 2**(|D|+1), whose base-x digits are
+the counts by size. The Monte-Carlo path samples Bernoulli keep-masks from a
+counter-based generator, for databases too large to enumerate, and evaluates
+each distinct surviving pattern set once.
 """
 
 from __future__ import annotations
@@ -48,30 +49,20 @@ def _patterns(db: TransactionDatabase, items: tuple[int, ...],
     return list(groups.values()), ignored
 
 
-def _times(a: list[int], b: list[int]) -> list[int]:
-    """Product of two integer polynomials given by coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=1 << 14)
 def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
                        kind: PredicateKind) -> tuple[int, ...]:
     """counts[j] = number of size-j transaction subsets on which the predicate holds.
 
-    The sum over the pattern subsets S where it holds of [x**j] of
-    prod over p in S of ((1+x)**m_p - 1), times (1+x)**m0 for the m0 ignored
-    transactions. Each S is evaluated on its representatives; a subset that
-    holds is tallied by how many patterns of each multiplicity it keeps, and
-    each tally is expanded once at the end, so memory stays small however
-    many subsets there are. One walk per (db, items, kind); the database is
-    immutable, so the result is cached and shared by exhaustive_robustness
-    and breakdown_vector across alphas. The cache is bounded because its keys
-    hold whole databases, at a size that still fits ~10k revisited triples.
+    counts[j] is [x**j] of the sum over the pattern subsets S where it holds
+    of prod over p in S of ((1+x)**m_p - 1), times (1+x)**m0 for the m0
+    ignored transactions. Each S is evaluated on its representatives. The sum
+    is one integer, the polynomial at x = 2**(|D|+1): no count exceeds
+    2**|D|, so no digit carries and counts[j] is its base-x digit j. One walk
+    per (db, items, kind); the database is immutable, so the result is cached
+    and shared by exhaustive_robustness and breakdown_vector across alphas.
+    The cache is bounded because its keys hold whole databases, at a size
+    that still fits ~10k revisited triples.
     """
     n = len(db)
     if n > EXHAUSTIVE_LIMIT:
@@ -79,29 +70,20 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
             f"exhaustive enumeration over {n} transactions exceeds the "
             f"{EXHAUSTIVE_LIMIT}-transaction guard; use monte_carlo_robustness")
     groups, ignored = _patterns(db, items, kind)
-    sizes = sorted({len(g) for g in groups})
-    # the representatives (first transactions) of the patterns of each multiplicity
-    classes = [sum(1 << g[0] for g in groups if len(g) == m) for m in sizes]
-    every = sum(classes)
-    held: dict[tuple[int, ...], int] = {}
+    x = 1 << (n + 1)
+    # (1+x)**m - 1 for each pattern, keyed by its representative's bit
+    grow = {1 << g[0]: (1 + x) ** len(g) - 1 for g in groups}
+    every = sum(grow.keys())
+    total = 0
     keep = 0  # the empty set first, then every subset of the representatives in turn
     while True:
         if evaluate_predicate(db.subset_mask(keep), items, kind):
-            tally = tuple((keep & c).bit_count() for c in classes)
-            held[tally] = held.get(tally, 0) + 1
+            total += math.prod(poly for bit, poly in grow.items() if keep & bit)
         if keep == every:
             break
         keep = (keep - every) & every
-    counts = [0] * (n + 1)
-    for tally, times in held.items():
-        poly = [math.comb(ignored, j) for j in range(ignored + 1)]  # (1+x)**m0
-        for m, k in zip(sizes, tally):
-            grow = [0] + [math.comb(m, j) for j in range(1, m + 1)]  # (1+x)**m - 1
-            for _ in range(k):
-                poly = _times(poly, grow)
-        for j, c in enumerate(poly):
-            counts[j] += times * c
-    return tuple(counts)
+    total *= (1 + x) ** ignored
+    return tuple(total >> (j * (n + 1)) & (x - 1) for j in range(n + 1))
 
 
 def exhaustive_robustness(db: TransactionDatabase, items, kind: PredicateKind,

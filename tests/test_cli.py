@@ -229,6 +229,49 @@ def test_verify_on_empty_database_rejects_every_item(capsys, tmp_path):
     assert code == 0 and out.splitlines()[-1].startswith("verdict\tPASS")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n  \n\n"], ids=["empty", "blank-lines"])
+def test_empty_and_blank_files(capsys, tmp_path, text):
+    path = tmp_path / "db.dat"
+    path.write_text(text)
+    inp = ("--input", str(path))
+    headers = {
+        ("mine", "--predicate", "free", "--alpha", "0.5"): "# itemset\tsupport\trobustness",
+        ("mine", "--predicate", "ndi", "--alpha", "0.5"): "# itemset\tsupport\trobustness",
+        ("rank", "--predicate", "closed"): "# rank\titemset\tsupport\tkey\texact",
+        ("rank", "--predicate", "ndi"): "# rank\titemset\tsupport\tkey",
+        ("experiment", "noise", "--eta", "0.5"):
+            "# position\titemset\tnoisy_position\tcompliance",
+    }
+    for args, header in headers.items():
+        assert run(capsys, *args, *inp) == (0, header + "\n", ""), args
+    for method in ("exhaustive", "mc"):
+        code, out, err = run(capsys, "verify", *inp, "--itemset", "", "--predicate", "free",
+                             "--alpha", "0.5", "--method", method, "--samples", "100")
+        assert code == 0 and err == "" and out.splitlines()[0] == "analytic\t1"
+        assert out.splitlines()[-1].startswith("verdict\tPASS"), method
+    code, out, err = run(capsys, "experiment", "sweep", *inp, "--predicate", "free")
+    lines = out.splitlines()
+    assert code == 0 and err == "" and lines[0] == "# alpha\trho\tcount"
+    assert len(lines) == 82 and all(line.endswith("\t0") for line in lines[1:])
+    for predicate in ("free", "closed"):
+        assert run(capsys, "experiment", "rank-distance", *inp, "--predicate", predicate,
+                   "--alpha", "0.5") == \
+            (2, "", "robustmine: error: only 0 itemsets pass the filters; "
+                    "distance needs at least two\n")
+
+
+def test_sweep_grid_stops_at_its_stop(capsys, toy_path):
+    # the step count used to round up, adding a point past stop
+    base = ("experiment", "sweep", "--input", toy_path, "--predicate", "free", "--rhos", "0.5")
+    for alphas, last in (("0.1:0.96:0.1", "0.9"), ("0.5:1.06:0.1", "1")):
+        code, out, err = run(capsys, *base, "--alphas", alphas)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].split("\t")[0] == last, alphas
+    assert cli._grid("0.1:0.96:0.1") == cli._grid("0.1:0.9:0.1")
+    assert cli._grid("0.5:1.06:0.1") == (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    assert len(cli._grid("0.1:0.9:0.1")) == 9
+
+
 def test_sweep_matches_library_and_is_deterministic(capsys, toy_path, toy):
     args = ("experiment", "sweep", "--input", toy_path, "--predicate", "free",
             "--alphas", "0.2,0.5,0.8", "--rhos", "0.0,0.5")

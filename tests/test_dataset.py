@@ -101,9 +101,10 @@ def test_cell_table_empty_itemset(toy):
 
 
 def test_cell_table_capacity():
-    db = random_db(3, 5, 6, 0.5)
-    with pytest.raises(CapacityError):
-        cell_table(db, (0, 1, 2, 3), limit=3)
+    # one item past CELL_WIDTH_LIMIT: refused before any cell is split
+    db = random_db(3, 5, 21, 0.5)
+    with pytest.raises(CapacityError, match="over 21 items exceeds the 20-item limit"):
+        cell_table(db, range(21))
 
 
 def test_one_zero_cells(toy):

@@ -125,8 +125,6 @@ def test_top_k_closed(toy):
         (1, (0, 1, 2, 3, 4)), (2, (1, 3, 4))]
     out = top_k(toy, PredicateKind.CLOSED, 10)
     assert [p.items for p in out] == [(0, 1, 2, 3, 4), (1, 3, 4), (4,), (0,)]
-    provided = top_k(toy, PredicateKind.CLOSED, 10, closed_family=TOY_CLOSED)
-    assert [p.items for p in provided] == [p.items for p in out]
 
 
 def test_top_k_free(toy):

@@ -74,6 +74,14 @@ def test_identical_rows_make_two_evaluations(monkeypatch):
             assert len(calls) == (1 if kind is PredicateKind.CLOSED and items == (3,) else 2)
 
 
+def test_free_empty_itemset_on_24_identical_rows_fills_every_digit():
+    # every subset holds, so the counts are C(24, j): the largest digits the
+    # integer sum has to hold
+    db = TransactionDatabase([[0, 1]] * 24, n_items=2)
+    assert grouped_counts(db, (), PredicateKind.FREE) == \
+        tuple(math.comb(24, j) for j in range(25))
+
+
 def per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed):
     """Every keep-mask drawn in one block and evaluated per distinct mask."""
     items = canon_items(items)
