@@ -25,6 +25,8 @@ from .predicates import PredicateKind
 from .robustness import robustness
 
 SCHEMA_VERSION = 1
+# most points one start:stop:step grid may expand to
+GRID_POINT_LIMIT = 1000
 
 
 class CliError(Exception):
@@ -56,10 +58,12 @@ def _grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"bad range {text!r}, want start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop):  # nan fails here too
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
-        n = round((stop - start) / step)
-        points = (round(start + i * step, 12) for i in range(n + 1))
+        span = (stop - start) / step  # the point count, known before any point is built
+        if not math.isfinite(span) or round(span) >= GRID_POINT_LIMIT:
+            raise CliError(2, f"range {text!r} has more than {GRID_POINT_LIMIT} points")
+        points = (round(start + i * step, 12) for i in range(round(span) + 1))
         return tuple(p for p in points if p <= stop)
     return tuple(float(p) for p in text.split(","))
 
@@ -177,12 +181,12 @@ def cmd_verify(args) -> int:
         if not 0 <= i < db.n_items:
             universe = f"0..{db.n_items - 1}" if db.n_items else "(the database has no items)"
             raise CliError(2, f"item {i} outside the database universe {universe}")
+    if args.method == "exhaustive" and len(db) > EXHAUSTIVE_LIMIT:
+        raise CliError(2, f"{len(db)} transactions exceed the exhaustive guard of "
+                          f"{EXHAUSTIVE_LIMIT}; rerun with --method mc")
     analytic = robustness(db, items, kind, alpha)
     lines = [f"analytic\t{_fmt(analytic)}"]
     if args.method == "exhaustive":
-        if len(db) > EXHAUSTIVE_LIMIT:
-            raise CliError(2, f"{len(db)} transactions exceed the exhaustive guard of "
-                              f"{EXHAUSTIVE_LIMIT}; rerun with --method mc")
         reference = exhaustive_robustness(db, items, kind, alpha)
         tolerance = 1e-9
         lines.append(f"exhaustive\t{_fmt(reference)}")
@@ -366,13 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # a grid over GRID_POINT_LIMIT raises CliError from inside parse_args
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except (CliError, OSError, ValueError) as e:
         print(f"robustmine: error: {e}", file=sys.stderr)
         if isinstance(e, CliError):

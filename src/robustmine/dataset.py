@@ -49,8 +49,16 @@ def _bits(positions: Sequence[int]) -> int:
 
 
 def _ones(x: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending."""
-    return [p for p, d in enumerate(bin(x)[:1:-1]) if d == "1"]
+    """Positions of the set bits of a non-negative int, ascending. After one
+    bin() the walk steps from one set bit to the next, so its Python work
+    follows the ones, not the width."""
+    digits = bin(x)[:1:-1]  # digit p is bit p
+    out = []
+    p = digits.find("1")
+    while p >= 0:
+        out.append(p)
+        p = digits.find("1", p + 1)
+    return out
 
 
 class TransactionDatabase:
@@ -86,22 +94,6 @@ class TransactionDatabase:
         vars(self).update(_cols=cols, _keep=keep, _len=keep.bit_count(), n_items=n_items,
                           _all_tids=all_tids)
         return self
-
-    @classmethod
-    def from_matrix(cls, matrix, tids=None) -> "TransactionDatabase":
-        """Build from a 0/1 matrix (rows = transactions, columns = items)."""
-        shape = getattr(matrix, "shape", None)
-        matrix = [list(row) for row in matrix]
-        if matrix:
-            n_items = len(matrix[0])
-        else:
-            n_items = int(shape[1]) if shape is not None and len(shape) == 2 else 0
-        if any(len(row) != n_items for row in matrix):
-            raise ValueError("ragged matrix")
-        bad = [v for row in matrix for v in row if v not in (0, 1, True, False)]
-        if bad:
-            raise ValueError(f"matrix entry {bad[0]!r} is not binary")
-        return cls([[j for j, v in enumerate(row) if v] for row in matrix], n_items, tids)
 
     def __setattr__(self, name, value):
         raise AttributeError("TransactionDatabase is immutable")
@@ -177,15 +169,6 @@ class TransactionDatabase:
         conditional database of the itemset, tidsets shared."""
         return TransactionDatabase.__new__(TransactionDatabase)._share(
             self._cols, self.tidset(items), self.n_items, self._all_tids)
-
-    def to_matrix(self):
-        """Dense 0/1 numpy matrix of shape (len(self), n_items)."""
-        import numpy as np
-
-        m = np.zeros((len(self), self.n_items), dtype=np.uint8)
-        for j, items in enumerate(self._row_items):
-            m[j, list(items)] = 1
-        return m
 
     def _item(self, i: int) -> int:
         if not 0 <= i < self.n_items:

@@ -7,7 +7,7 @@ serialization for the command line lives in the cli module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, compress, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
@@ -51,22 +51,27 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
 
 
 def noise_mix(db: TransactionDatabase, eta: float, seed: int) -> TransactionDatabase:
-    """Mix each matrix entry, independently with probability eta, with a
-    synthetic database of independent columns matching the original column
-    frequencies. eta = 0 returns an identical database; eta = 1 is fully
+    """Mix each entry, independently with probability eta, with a synthetic
+    database of independent columns matching the original column frequencies.
+    Only the items some row holds take part: an absent item has frequency 0
+    and stays absent. eta = 0 returns an identical database; eta = 1 is fully
     synthetic. Deterministic given the seed."""
     import numpy as np
 
     eta = check_probability(eta, "eta")
-    m = db.to_matrix()
-    if m.size == 0:
+    rows = [db.row_items(j) for j in range(len(db))]
+    items = sorted(set().union(*rows))
+    if not items:
         return db
+    column = {i: k for k, i in enumerate(items)}
+    m = np.zeros((len(rows), len(items)), dtype=bool)
+    for j, row in enumerate(rows):
+        m[j, [column[i] for i in row]] = True
     rng = np.random.Generator(np.random.Philox(seed))
-    margins = m.mean(axis=0)
-    synthetic = rng.random(m.shape) < margins
-    use_synthetic = rng.random(m.shape) < eta
-    mixed = np.where(use_synthetic, synthetic, m.astype(bool))
-    return TransactionDatabase.from_matrix(mixed.astype(np.uint8), tids=db.tids)
+    synthetic = rng.random(m.shape) < m.mean(axis=0)
+    mixed = np.where(rng.random(m.shape) < eta, synthetic, m)
+    return TransactionDatabase((list(compress(items, row)) for row in mixed),
+                               db.n_items, db.tids)
 
 
 def compliance(original_order, noisy_order) -> list[float]:

@@ -23,8 +23,7 @@ EXPORTS = [
 ]
 
 DATABASE_ATTRIBUTES = [
-    "columns", "from_matrix", "holding", "n_items", "row_items", "subset", "subset_mask",
-    "tids", "tidset", "to_matrix",
+    "columns", "holding", "n_items", "row_items", "subset", "subset_mask", "tids", "tidset",
 ]
 
 

@@ -158,6 +158,40 @@ def test_verify_guard_redirects_to_mc(capsys, tmp_path):
     assert code == 2 and "--method mc" in err
 
 
+def test_verify_guard_comes_before_the_analytic_score(capsys, tmp_path, monkeypatch):
+    # a 20-item ts or ndi score builds a 2**20-cell table: on 30 rows the
+    # exhaustive guard refuses first, without computing it
+    path = tmp_path / "wide.fimi"
+    path.write_text("".join(" ".join(map(str, range(j % 3, 20))) + "\n" for j in range(30)))
+
+    def robustness(*args, **kwargs):
+        raise AssertionError("analytic score computed before the exhaustive guard")
+
+    monkeypatch.setattr(cli, "robustness", robustness)
+    for predicate in ("ts", "ndi"):
+        assert run(capsys, "verify", "--input", str(path), "--itemset",
+                   " ".join(map(str, range(20))), "--predicate", predicate,
+                   "--alpha", "0.5") == \
+            (2, "", "robustmine: error: 30 transactions exceed the exhaustive guard of 24; "
+                    "rerun with --method mc\n")
+
+
+@pytest.mark.parametrize("rows", [24, 30])
+def test_verify_over_21_items_hits_the_cell_limit(capsys, tmp_path, rows):
+    path = tmp_path / "wide.fimi"
+    path.write_text("".join(" ".join(map(str, range(j % 3, 21))) + "\n" for j in range(rows)))
+    cell_limit = "robustmine: error: cell table over 21 items exceeds the 20-item limit\n"
+    guard = (f"robustmine: error: {rows} transactions exceed the exhaustive guard of 24; "
+             "rerun with --method mc\n")
+    for predicate in ("ts", "ndi"):
+        for method in ("exhaustive", "mc"):
+            want = guard if method == "exhaustive" and rows > 24 else cell_limit
+            assert run(capsys, "verify", "--input", str(path), "--itemset",
+                       " ".join(map(str, range(21))), "--predicate", predicate,
+                       "--alpha", "0.5", "--method", method, "--samples", "10") == \
+                (2, "", want), (predicate, method)
+
+
 def test_verify_mc(capsys, toy_path):
     code, out, _ = run(capsys, "verify", "--input", toy_path, "--itemset", "0 1",
                        "--predicate", "free", "--alpha", "1.0",
@@ -287,15 +321,22 @@ def test_sweep_matches_library_and_is_deterministic(capsys, toy_path, toy):
     assert out2 == out1
 
 
-def test_sweep_default_grid_and_threads(capsys, toy_path, monkeypatch):
+def test_sweep_default_grid(capsys, toy_path):
     code, base, _ = run(capsys, "experiment", "sweep", "--input", toy_path,
                         "--predicate", "ndi")
     assert code == 0
     assert len(base.splitlines()) == 82  # 9 x 9 grid plus header
-    monkeypatch.setenv("ROBUST_MINER_THREADS", "4")
-    code, threaded, _ = run(capsys, "experiment", "sweep", "--input", toy_path,
-                            "--predicate", "ndi")
-    assert threaded == base
+
+
+def test_sweep_grid_point_limit(capsys, toy_path):
+    # the point count is checked before any point is built
+    assert len(cli._grid("0:0.999:0.001")) == cli.GRID_POINT_LIMIT
+    for grid in ("0:1:1e-6", "0:1:0.001", "0:1e300:1e-300"):
+        for axis in ("--alphas", "--rhos"):
+            assert run(capsys, "experiment", "sweep", "--input", toy_path, "--predicate",
+                       "free", axis, grid) == \
+                (2, "", f"robustmine: error: range {grid!r} has more than "
+                        f"{cli.GRID_POINT_LIMIT} points\n")
 
 
 def test_noise_zero_eta_is_fully_compliant(capsys, toy_path):

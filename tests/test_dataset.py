@@ -1,9 +1,8 @@
 import itertools
 
-import numpy as np
 import pytest
 
-from conftest import TOY_TEXT, all_itemsets, random_db, row_items, small_corpus
+from conftest import TOY_TEXT, all_itemsets, random_db, small_corpus
 from robustmine import (
     CapacityError,
     FimiParseError,
@@ -111,16 +110,6 @@ def test_one_zero_cells(toy):
     # entry order follows the itemset: missing 0 (but 4 present), missing 4
     assert one_zero_cells(toy, (0, 4)) == (3, 1)
     assert one_zero_cells(toy, ()) == ()
-
-
-def test_matrix_round_trip(toy):
-    m = toy.to_matrix()
-    assert m.shape == (6, 5)
-    assert m.dtype == np.uint8
-    back = TransactionDatabase.from_matrix(m)
-    assert row_items(back) == row_items(toy)
-    rebuilt = TransactionDatabase.from_matrix(np.zeros((0, 4), dtype=int))
-    assert len(rebuilt) == 0 and rebuilt.n_items == 4
 
 
 def test_subset_preserves_tids(toy):

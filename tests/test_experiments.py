@@ -1,13 +1,20 @@
-import pytest
+import tracemalloc
+from itertools import accumulate
 
-from conftest import random_db
+import numpy.random  # noqa: F401  (noise_mix loads it lazily; keep it out of the memory trace)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_db, row_items
 from robustmine import (
     MiningConfig,
     PredicateKind,
+    TransactionDatabase,
     compliance,
     mine_robust,
     noise_mix,
     parameter_free_order,
+    parse_fimi,
     rank_distance,
     robustness_bucket_order,
     sweep,
@@ -61,10 +68,41 @@ def test_noise_mix_identity_and_determinism(toy):
 
 
 def test_noise_mix_empty_db():
-    from robustmine import TransactionDatabase
-
     empty = TransactionDatabase([], n_items=3)
     assert noise_mix(empty, 0.7, seed=1) == empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5)), max_size=12),
+       st.lists(st.integers(1, 1000), min_size=6, max_size=6),
+       st.floats(0, 1), st.integers(0, 2**32))
+def test_noise_mix_skips_absent_ids(rows, gaps, eta, seed):
+    # ids spread apart with absent ids below and between them mix like the
+    # same rows relabelled densely, mapped back
+    ids = list(accumulate(gaps))
+    sparse = TransactionDatabase([[ids[i] for i in r] for r in rows])
+    present = sorted({i for r in rows for i in r})
+    dense = TransactionDatabase([[present.index(i) for i in r] for r in rows])
+    mixed = noise_mix(sparse, eta, seed)
+    assert row_items(mixed) == [tuple(ids[present[k]] for k in r)
+                                for r in row_items(noise_mix(dense, eta, seed))]
+    assert (mixed.n_items, mixed.tids) == (sparse.n_items, sparse.tids)
+
+
+def test_noise_mix_on_huge_ids_in_bounded_memory():
+    # 4 rows over ids near 5e7: the mix spans the 4 items present, not every id
+    db = parse_fimi("49999990 49999993\n49999991 49999993 49999999\n"
+                    "49999990 49999991\n49999993 49999999\n")
+    tracemalloc.start()
+    try:
+        mixed = noise_mix(db, 0.3, seed=0)
+        ranked = top_k(mixed, PredicateKind.CLOSED, 1 << 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert mixed.n_items == db.n_items and ranked
+    assert {i for i, _ in mixed.columns()} <= {i for i, _ in db.columns()}
 
 
 def test_compliance():

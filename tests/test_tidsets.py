@@ -15,6 +15,7 @@ from conftest import TOY_TEXT, databases, row_items
 from robustmine import (PredicateKind, TransactionDatabase, cell_table,
                         exhaustive_robustness, generalized_support, is_closed,
                         one_zero_cells, parse_fimi, support)
+from robustmine.dataset import _ones
 
 
 class RowScan:
@@ -122,7 +123,6 @@ def test_sub_databases_equal_fresh_builds(case, data):
         fresh = TransactionDatabase(rows, n_items=n_items, tids=db.tids)
         assert db == fresh and hash(db) == hash(fresh)
         assert [db.row_items(j) for j in range(len(db))] == [tuple(r) for r in rows]
-        assert TransactionDatabase.from_matrix(db.to_matrix(), tids=db.tids) == db
 
 
 def test_oracle_on_a_keep_mask_of_a_subset():
@@ -167,3 +167,14 @@ def test_sparse_huge_ids_parse_in_bounded_memory():
     assert len(db) == 50 and db.n_items == 50_000_344
     assert support(db, (3,)) == 50 and support(db, (50_000_007,)) == 1
     assert is_closed(db, (3,)) and not is_closed(db, (49_999_001,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.just(0),
+    st.integers(0, (1 << 4096) - 1),  # dense
+    st.integers(0, 5000).map(lambda n: (1 << n) - 1),  # all ones
+    st.sets(st.integers(0, 200_000), max_size=20).map(lambda ps: sum(1 << p for p in ps)),
+))
+def test_ones_lists_the_set_bits(x):
+    assert _ones(x) == [p for p, d in enumerate(reversed(format(x, "b"))) if d == "1"]
