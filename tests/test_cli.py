@@ -331,7 +331,7 @@ def test_sweep_default_grid(capsys, toy_path):
 def test_sweep_grid_point_limit(capsys, toy_path):
     # the point count is checked before any point is built
     assert len(cli._grid("0:0.999:0.001")) == cli.GRID_POINT_LIMIT
-    for grid in ("0:1:1e-6", "0:1:0.001", "0:1e300:1e-300"):
+    for grid in ("0:1:1e-6", "0:1:0.001", "0:1e300:1e-300", "0:inf:1"):
         for axis in ("--alphas", "--rhos"):
             assert run(capsys, "experiment", "sweep", "--input", toy_path, "--predicate",
                        "free", axis, grid) == \
