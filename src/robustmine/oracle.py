@@ -1,40 +1,108 @@
 """Independent checks of the analytic scores.
 
-Both oracles re-evaluate the predicate on sub-databases, but not once per
-subset of transactions: the predicate reads only which transaction patterns
-survive. For free, non-derivable and totally shattered itemsets a pattern is a
-transaction's projection onto X (the predicates test which cells are empty);
-for closed it is the full row of a transaction that contains X, and the rows
-without X form one group the predicate never reads. The patterns are read
-from `row_items`, which the database derives from its tidsets; each set of
-surviving patterns is evaluated once, on one representative transaction per
-pattern.
+The oracles share no code with the survival classes that the analytic
+scores and `predicates.evaluate_predicate` read: `definition` writes each
+predicate again, from its definition, as a test of a bitset of kept rows.
 
-The exhaustive path walks every subset of the P patterns, 2**P evaluations,
-and counts the transaction subsets behind each exactly: a pattern of
-multiplicity m survives in (1+x)**m - 1 ways by size. The count polynomial
-is one Python integer, evaluated at x = 2**(|D|+1), whose base-x digits are
-the counts by size. The Monte-Carlo path samples Bernoulli keep-masks from a
-counter-based generator, for databases too large to enumerate, and evaluates
-each distinct surviving pattern set once.
+A predicate depends only on which transaction patterns survive. For free,
+non-derivable and totally shattered itemsets a pattern is a transaction's
+projection onto X; for closed it is the full row of a transaction that
+contains X, and the rows without X form one group the predicate never
+reads. The patterns are read from `row_items`, which the database derives
+from its tidsets, and the definition is built over one row per pattern.
+
+The exhaustive path tests all 2**P bitsets of the P patterns and counts
+the transaction subsets behind each exactly: a pattern of multiplicity m
+survives in (1+x)**m - 1 ways by size. The count polynomial is one Python
+integer, evaluated at x = 2**(|D|+1), whose base-x digits are the counts by
+size. The Monte-Carlo path samples Bernoulli keep-masks from a
+counter-based generator, for databases too large to enumerate, and tests
+each distinct bitset of surviving patterns once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .dataset import CapacityError, TransactionDatabase, canon_items
-from .predicates import PredicateKind, evaluate_predicate
+from .dataset import CELL_WIDTH_LIMIT, CapacityError, TransactionDatabase, canon_items
+from .predicates import PredicateKind
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
 MC_CHUNK = 1024  # keep-masks drawn per block, to bound memory; the Philox stream is unchanged
 
 
+def _superset_sums(values: list[int]) -> list[int]:
+    """out[J] = sum of values[K] over the supersets K of J, as bit masks."""
+    bit = 1
+    while bit < len(values):  # one pass per item
+        values = [v if j & bit else v + values[j | bit] for j, v in enumerate(values)]
+        bit <<= 1
+    return values
+
+
+def definition(rows: Sequence[Sequence[int]], items: tuple[int, ...], n_items: int,
+               kind: PredicateKind) -> Callable[[int], bool]:
+    """The predicate on the rows that a bitset keeps (bit p keeps rows[p]),
+    for a canonical itemset X over items 0..n_items-1. A support counts the
+    kept rows holding an itemset, each once, so a row may stand for a pattern.
+
+    - closed: no item outside X is in every kept row that holds X;
+    - free: no single-item removal keeps the support;
+    - non-derivable: the inclusion-exclusion rule bounds on supp(X) from its
+      subsets' supports differ (Calders & Goethals, PKDD 2002). The rules
+      take |X| * 2**|X| steps; more than CELL_WIDTH_LIMIT items are refused;
+    - totally shattered: every 0/1 value vector over X occurs in a kept row.
+    """
+    rows = [frozenset(row) for row in rows]
+    xs = frozenset(items)
+
+    def holding(itemset):  # the rows holding every item of itemset, as a bitset
+        return sum(1 << p for p, row in enumerate(rows) if itemset <= row)
+
+    def keeps_support(kept, held, others):  # some other itemset has X's support
+        return any((kept & t).bit_count() == (kept & held).bit_count() for t in others)
+
+    held = holding(xs)
+    if kind is PredicateKind.CLOSED:
+        extensions = [holding(xs | {y}) for y in
+                      set().union(*(row for p, row in enumerate(rows) if held >> p & 1)) - xs]
+        # with no kept row holding X, every item is in all of them
+        return lambda kept: (not keeps_support(kept, held, extensions) if kept & held
+                             else len(items) == n_items)
+    if kind is PredicateKind.FREE:
+        removals = [holding(xs - {x}) for x in items]
+        return lambda kept: not keeps_support(kept, held, removals)
+    m = len(items)
+    vectors = [sum(1 << k for k, x in enumerate(items) if x in row) for row in rows]
+    if kind is PredicateKind.TOTALLY_SHATTERED:
+        return lambda kept: len({v for p, v in enumerate(vectors) if kept >> p & 1}) == 1 << m
+    if kind is not PredicateKind.NON_DERIVABLE:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    if m > CELL_WIDTH_LIMIT:
+        raise CapacityError(f"derivability rules over {m} items exceed the "
+                            f"{CELL_WIDTH_LIMIT}-item limit")
+    odd = [(m - j.bit_count()) % 2 for j in range(1 << m)]  # |X \ J| is odd
+
+    def non_derivable(kept):
+        exact = [0] * (1 << m)
+        for p, v in enumerate(vectors):
+            exact[v] += kept >> p & 1
+        supports = _superset_sums(exact)
+        # the rule for Y sums (-1)**(|X \ J| + 1) supp(J) over Y <= J < X: an
+        # upper bound on supp(X) when |X \ Y| is odd, a lower bound when even
+        rules = _superset_sums([s if o else -s for s, o in zip(supports[:-1], odd)] + [0])
+        lower = max(r for r, o in zip(rules, odd) if not o)
+        return lower != min((r for r, o in zip(rules, odd) if o), default=math.inf)
+    return non_derivable
+
+
 def _patterns(db: TransactionDatabase, items: tuple[int, ...],
-              kind: PredicateKind) -> tuple[list[list[int]], int]:
-    """(transaction indices of each distinct pattern, in order of first
-    occurrence; the number of transactions the predicate ignores)."""
+              kind: PredicateKind) -> tuple[dict[tuple[int, ...], list[int]], int]:
+    """(the transaction indices of each distinct pattern, keyed by the
+    pattern, in order of first occurrence; the number of transactions the
+    predicate ignores)."""
     db.tidset(items)  # an id outside the universe is an error
     xs = set(items)
     closed = kind is PredicateKind.CLOSED
@@ -46,7 +114,7 @@ def _patterns(db: TransactionDatabase, items: tuple[int, ...],
             ignored += 1
         else:
             groups.setdefault(row if closed else tuple(filter(xs.__contains__, row)), []).append(j)
-    return list(groups.values()), ignored
+    return groups, ignored
 
 
 @lru_cache(maxsize=1 << 14)
@@ -54,15 +122,16 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
                        kind: PredicateKind) -> tuple[int, ...]:
     """counts[j] = number of size-j transaction subsets on which the predicate holds.
 
-    counts[j] is [x**j] of the sum over the pattern subsets S where it holds
-    of prod over p in S of ((1+x)**m_p - 1), times (1+x)**m0 for the m0
-    ignored transactions. Each S is evaluated on its representatives. The sum
-    is one integer, the polynomial at x = 2**(|D|+1): no count exceeds
-    2**|D|, so no digit carries and counts[j] is its base-x digit j. One walk
-    per (db, items, kind); the database is immutable, so the result is cached
-    and shared by exhaustive_robustness and breakdown_vector across alphas.
-    The cache is bounded because its keys hold whole databases, at a size
-    that still fits ~10k revisited triples.
+    counts[j] is [x**j] of the sum over the pattern subsets S where the
+    definition holds of prod over p in S of ((1+x)**m_p - 1), times
+    (1+x)**m0 for the m0 ignored transactions. S walks range(2**P) as a
+    bitset of kept patterns. The sum is one integer, the polynomial at
+    x = 2**(|D|+1): no count exceeds 2**|D|, so no digit carries and
+    counts[j] is its base-x digit j. One walk per (db, items, kind); the
+    database is immutable, so the result is cached and shared by
+    exhaustive_robustness and breakdown_vector across alphas. The cache is
+    bounded because its keys hold whole databases, at a size that still fits
+    ~10k revisited triples.
     """
     n = len(db)
     if n > EXHAUSTIVE_LIMIT:
@@ -70,18 +139,13 @@ def _satisfied_by_size(db: TransactionDatabase, items: tuple[int, ...],
             f"exhaustive enumeration over {n} transactions exceeds the "
             f"{EXHAUSTIVE_LIMIT}-transaction guard; use monte_carlo_robustness")
     groups, ignored = _patterns(db, items, kind)
+    holds = definition(list(groups), items, db.n_items, kind)
     x = 1 << (n + 1)
-    # (1+x)**m - 1 for each pattern, keyed by its representative's bit
-    grow = {1 << g[0]: (1 + x) ** len(g) - 1 for g in groups}
-    every = sum(grow.keys())
+    grow = [(1 + x) ** len(g) - 1 for g in groups.values()]
     total = 0
-    keep = 0  # the empty set first, then every subset of the representatives in turn
-    while True:
-        if evaluate_predicate(db.subset_mask(keep), items, kind):
-            total += math.prod(poly for bit, poly in grow.items() if keep & bit)
-        if keep == every:
-            break
-        keep = (keep - every) & every
+    for kept in range(1 << len(grow)):
+        if holds(kept):
+            total += math.prod(poly for p, poly in enumerate(grow) if kept >> p & 1)
     total *= (1 + x) ** ignored
     return tuple(total >> (j * (n + 1)) & (x - 1) for j in range(n + 1))
 
@@ -120,7 +184,7 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
     sqrt(p(1-p)/n). The Philox stream makes runs reproducible across
     platforms; it is drawn MC_CHUNK keep-masks at a time, which yields the
     same values as one draw. Samples that keep the same patterns share one
-    predicate evaluation.
+    test of the definition.
     """
     import numpy as np
 
@@ -132,28 +196,25 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
     items = canon_items(items)
     n = len(db)
     groups, _ = _patterns(db, items, kind)
-    columns = [j for g in groups for j in g]  # the transactions grouped by pattern
-    starts = np.cumsum([0] + [len(g) for g in groups])[:-1]
-    reps = [g[0] for g in groups]
+    holds = definition(list(groups), items, db.n_items, kind)
+    columns = [j for g in groups.values() for j in g]  # the transactions grouped by pattern
+    starts = np.cumsum([0] + [len(g) for g in groups.values()])[:-1]
     rng = np.random.Generator(np.random.Philox(seed))
     seen: dict[int, bool] = {}
     hits = 0
     for done in range(0, n_samples, MC_CHUNK):
         keep_masks = rng.random((min(MC_CHUNK, n_samples - done), n)) < alpha
-        # a sample keeps pattern p when it keeps one of p's transactions; it is
-        # evaluated on one representative per surviving pattern
-        kept = np.zeros_like(keep_masks)
-        if groups:
-            kept[:, reps] = np.logical_or.reduceat(keep_masks[:, columns], starts, axis=1)
-        _, first, repeats = np.unique(np.packbits(kept[:, reps], axis=1, bitorder="little"),
-                                      axis=0, return_index=True, return_counts=True)
-        # row j packed little-endian: bit i of the int keeps transaction i
-        for row, repeat in zip(np.packbits(kept[first], axis=1, bitorder="little"),
-                               repeats.tolist()):
-            mask = int.from_bytes(row.tobytes(), "little")
-            if mask not in seen:
-                seen[mask] = evaluate_predicate(db.subset_mask(mask), items, kind)
-            hits += repeat * seen[mask]
+        # a sample keeps pattern p when it keeps one of p's transactions
+        kept = (np.logical_or.reduceat(keep_masks[:, columns], starts, axis=1) if groups
+                else keep_masks[:, :0])
+        packed, repeats = np.unique(np.packbits(kept, axis=1, bitorder="little"),
+                                    axis=0, return_counts=True)
+        for row, repeat in zip(packed, repeats.tolist()):
+            # little-endian: bit p of the int keeps pattern p
+            pattern_bits = int.from_bytes(row.tobytes(), "little")
+            if pattern_bits not in seen:
+                seen[pattern_bits] = holds(pattern_bits)
+            hits += repeat * seen[pattern_bits]
     est = hits / n_samples
     stderr = math.sqrt(est * (1.0 - est) / n_samples)
     return est, stderr

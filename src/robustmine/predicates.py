@@ -1,8 +1,9 @@
 """Structural itemset predicates: closed, free, non-derivable, totally shattered.
 
-These are the alpha = 1 ground truths for the robustness scores and the inner
-test of the exhaustive oracle. All four are evaluated exactly from integer
-counts.
+These are the alpha = 1 ground truths for the robustness scores. Closedness
+is tested by its extensions; every other kind by its survival classes, the
+one description of it that the robustness, margin vectors and ranking keys
+read too. All four are evaluated exactly from integer counts.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ def is_closed(db: TransactionDatabase, items) -> bool:
 def is_free(db: TransactionDatabase, items) -> bool:
     """No single-item removal keeps the support unchanged. The empty itemset
     is free by convention (it has no proper subsets)."""
-    return all(c > 0 for c in one_zero_cells(db, items))
+    return classes_hold(survival_classes(db, items, PredicateKind.FREE))
 
 
 def is_totally_shattered(db: TransactionDatabase, items) -> bool:
     """Every one of the 2**|X| value vectors occurs in some transaction."""
-    table = cell_table(db, items)
-    return all(c > 0 for c in table.counts.values())
+    return classes_hold(survival_classes(db, items, PredicateKind.TOTALLY_SHATTERED))
 
 
 def is_non_derivable(db: TransactionDatabase, items) -> bool:
@@ -57,11 +57,7 @@ def is_non_derivable(db: TransactionDatabase, items) -> bool:
     vectors contain an empty cell; the empty itemset has no applicable cells
     and counts as non-derivable.
     """
-    items = canon_items(items)
-    if not items:
-        return True
-    odd, even = cell_table(db, items).parity_split()
-    return not (min(odd) == 0 and min(even) == 0)
+    return classes_hold(survival_classes(db, items, PredicateKind.NON_DERIVABLE))
 
 
 def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
@@ -74,7 +70,7 @@ def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
     items = canon_items(items)
     if not items:
         raise ValueError("bounds are defined for nonempty itemsets only")
-    odd, even = cell_table(db, items).parity_split()
+    odd, even = survival_classes(db, items, PredicateKind.NON_DERIVABLE)
     if len(items) % 2:  # zeros = |X| - ones, so odd |X| swaps the parity classes
         odd, even = even, odd
     s = support(db, items)
@@ -82,24 +78,20 @@ def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
 
 
 def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind) -> bool:
-    """Exact truth of the predicate on the full database: the reference the
-    oracles use, independent of the survival-class table below."""
+    """Exact truth of the predicate on the full database: closedness by its
+    extensions, every other kind as classes_hold of its survival classes
+    below. The oracles check it against definitions of their own."""
     if kind is PredicateKind.CLOSED:
         return is_closed(db, items)
-    if kind is PredicateKind.FREE:
-        return is_free(db, items)
-    if kind is PredicateKind.NON_DERIVABLE:
-        return is_non_derivable(db, items)
-    if kind is PredicateKind.TOTALLY_SHATTERED:
-        return is_totally_shattered(db, items)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    return classes_hold(survival_classes(db, items, kind))
 
 
 class SurvivalClasses(NamedTuple):
     """A non-closed predicate as classes of cells: it holds exactly when some
     class keeps every one of its cells non-empty.
 
-    cells(db, items) lists the classes' cell counts for a canonical itemset;
+    cells(db, items) lists the classes' cell counts of an itemset (the cell
+    readers canonicalise it);
     size(|X|) is the number of cells of a one-class kind (alpha_bound's N)
     and is None for kinds with more than one class.
     """
@@ -127,9 +119,9 @@ def survival_classes(db: TransactionDatabase, items, kind: PredicateKind) -> tup
         if kind is PredicateKind.CLOSED:
             raise ValueError("closedness has no survival classes")
         raise ValueError(f"unknown predicate kind {kind!r}")
-    return spec.cells(db, canon_items(items))
+    return spec.cells(db, items)
 
 
 def classes_hold(classes) -> bool:
     """Truth at alpha = 1: some class has no empty cell (an empty class counts)."""
-    return any(all(c) for c in classes)
+    return any(map(all, classes))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,7 +177,7 @@ def test_verify_guard_comes_before_the_analytic_score(capsys, tmp_path, monkeypa
                     "rerun with --method mc\n")
 
 
-@pytest.mark.parametrize("rows", [24, 30])
+@pytest.mark.parametrize("rows", [4, 24, 30])
 def test_verify_over_21_items_hits_the_cell_limit(capsys, tmp_path, rows):
     path = tmp_path / "wide.fimi"
     path.write_text("".join(" ".join(map(str, range(j % 3, 21))) + "\n" for j in range(rows)))
@@ -190,6 +191,21 @@ def test_verify_over_21_items_hits_the_cell_limit(capsys, tmp_path, rows):
                        " ".join(map(str, range(21))), "--predicate", predicate,
                        "--alpha", "0.5", "--method", method, "--samples", "10") == \
                 (2, "", want), (predicate, method)
+
+
+@pytest.mark.parametrize("predicate, width", [("free", 21), ("ndi", 12), ("ts", 12)])
+def test_verify_wide_itemset_on_four_rows_is_fast(capsys, tmp_path, predicate, width):
+    # the oracle tests free without listing the 2**21 subsets of the itemset,
+    # and ndi's rules in |X| * 2**|X| steps, not 3**|X|
+    path = tmp_path / "wide.fimi"
+    path.write_text("".join(" ".join(map(str, range(j % 3, width))) + "\n" for j in range(4)))
+    for method in ("exhaustive", "mc"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", str(path), "--itemset",
+                             " ".join(map(str, range(width))), "--predicate", predicate,
+                             "--alpha", "0.5", "--method", method)
+        assert time.perf_counter() - start < 1.0, (predicate, method)
+        assert code == 0 and err == "" and "verdict\tPASS" in out, (predicate, method, out)
 
 
 def test_verify_mc(capsys, toy_path):

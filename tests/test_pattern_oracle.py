@@ -60,12 +60,17 @@ def test_grouped_counts_explicit_cases(db, itemsets):
 def test_identical_rows_make_two_evaluations(monkeypatch):
     db = TransactionDatabase([[0, 1, 2]] * 12, n_items=4)
     calls = []
+    definition = oracle.definition
 
-    def counting(*args):
-        calls.append(args)
-        return evaluate_predicate(*args)
+    def counting_definition(*args):
+        holds = definition(*args)
 
-    monkeypatch.setattr(oracle, "evaluate_predicate", counting)
+        def counting(kept):
+            calls.append(kept)
+            return holds(kept)
+        return counting
+
+    monkeypatch.setattr(oracle, "definition", counting_definition)
     for kind in PredicateKind:
         for items in [(), (0, 1), (3,)]:
             calls.clear()

@@ -1,10 +1,11 @@
-"""The survival-class table against the reference predicates.
+"""The survival-class table against the oracle's definitions.
 
-Mining, robustness and ranking keys of the free, totally shattered and
-non-derivable properties all read the table in predicates.SURVIVAL_CLASSES;
-the oracles and these tests read is_free, is_totally_shattered and
-is_non_derivable, which do not. The cell classes are also rebuilt here from
-the cell table, with the parity of each value vector computed in the test.
+Predicate tests, mining, robustness and ranking keys of the free, totally
+shattered and non-derivable properties all read the table in
+predicates.SURVIVAL_CLASSES; the oracles and these tests take the truth from
+oracle.definition, which does not. The cell classes are also rebuilt here
+from the cell table, with the parity of each value vector computed in the
+test.
 """
 
 from fractions import Fraction
@@ -13,10 +14,11 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_itemsets, databases, random_db
-from robustmine import (PredicateKind, TransactionDatabase, breakdown_vector, cell_table,
-                        complete_closed_family, evaluate_predicate, expand, margin_vector,
-                        ndi_polynomial, one_zero_cells, order_key, robustness)
+from conftest import all_itemsets, databases, random_db, row_items
+from robustmine import (PredicateKind, TransactionDatabase, breakdown_vector, canon_items,
+                        cell_table, complete_closed_family, evaluate_predicate, expand,
+                        margin_vector, ndi_polynomial, one_zero_cells, order_key, robustness)
+from robustmine.oracle import definition
 from robustmine.predicates import SURVIVAL_CLASSES, classes_hold, survival_classes
 
 
@@ -39,14 +41,17 @@ def test_table_matches_reference_predicates(case, data):
     assert set(SURVIVAL_CLASSES) == set(PredicateKind) - {PredicateKind.CLOSED}
     for items in [[]] + [data.draw(itemsets) for _ in range(3)]:
         for kind in SURVIVAL_CLASSES:
-            truth = evaluate_predicate(db, items, kind)
+            holds = definition(row_items(db), canon_items(items), n_items, kind)
+            truth = holds((1 << len(db)) - 1)
             classes = survival_classes(db, items, kind)
-            assert classes_hold(classes) == truth, (items, kind)
+            assert classes_hold(classes) == evaluate_predicate(db, items, kind) == truth, \
+                (items, kind)
             assert sorted(map(sorted, classes)) == \
                 sorted(map(sorted, reference_classes(db, items, kind))), (items, kind)
             assert robustness(db, items, kind, 1.0) == float(truth), (items, kind)
             # alpha = 0 deletes every transaction
-            gone = float(evaluate_predicate(empty, items, kind))
+            gone = float(holds(0))
+            assert evaluate_predicate(empty, items, kind) == holds(0), (items, kind)
             assert robustness(db, items, kind, 0.0) == gone, (items, kind)
             assert robustness(empty, items, kind, 0.0) == gone, (items, kind)
             key = order_key(db, items, kind)
