@@ -233,7 +233,7 @@ def cmd_experiment_noise(args) -> int:
     db = _load_db(args)
     tau = max(1, resolve_min_support(args.min_support, len(db)))
     original = [rec.items for rec in
-                top_k(db, PredicateKind.CLOSED, 1 << 30, min_support=tau)][: args.top_k or None]
+                top_k(db, PredicateKind.CLOSED, args.top_k or 1 << 30, min_support=tau)]
     noisy = [rec.items for rec in
              top_k(noise_mix(db, args.eta, args.seed), PredicateKind.CLOSED, 1 << 30,
                    min_support=tau)]

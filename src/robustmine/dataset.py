@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import product
 
 # Cell tables enumerate 2**|X| value vectors; refuse wider queries by default.
 CELL_WIDTH_LIMIT = 20
@@ -263,35 +262,47 @@ def one_zero_cells(db: TransactionDatabase, items: Sequence[int]) -> tuple[int, 
 
 
 class CellTable:
-    """Counts of every 0/1 value vector over an itemset. Sums to |D|."""
+    """Counts of every 0/1 value vector over an itemset, indexed by mask: cells[idx]
+    counts the vector whose entry pos is bit pos of idx (entries follow the
+    sorted itemset). Sums to |D|."""
 
-    __slots__ = ("items", "counts")
+    __slots__ = ("items", "cells")
 
-    def __init__(self, items: tuple[int, ...], counts: dict[tuple[int, ...], int]):
+    def __init__(self, items: tuple[int, ...], cells: Sequence[int]):
         self.items = items
-        self.counts = counts
+        self.cells = tuple(cells)
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        """{value vector: count}, in mask order."""
+        m = len(self.items)
+        return {tuple(idx >> pos & 1 for pos in range(m)): c for idx, c in enumerate(self.cells)}
 
     def __getitem__(self, values) -> int:
-        return self.counts[tuple(values)]
+        """The count of one value vector; KeyError unless it is 0/1 of length |X|."""
+        values = tuple(values)
+        if len(values) != len(self.items) or any(v not in (0, 1) for v in values):
+            raise KeyError(values)
+        return self.cells[sum(1 << pos for pos, v in enumerate(values) if v)]
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.cells)
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.cells)
 
     def parity_split(self) -> tuple[list[int], list[int]]:
         """Cell counts split by parity of ones in the value vector: (odd, even)."""
         odd, even = [], []
-        for v, c in self.counts.items():
-            (odd if sum(v) % 2 else even).append(c)
+        for idx, c in enumerate(self.cells):
+            (odd if idx.bit_count() & 1 else even).append(c)
         return odd, even
 
 
 def cell_table(db: TransactionDatabase, items: Sequence[int]) -> CellTable:
     """Full table of generalized supports over all 2**|X| value vectors: the
-    tidset split by each item's column in turn. CapacityError guards
-    |X| > CELL_WIDTH_LIMIT."""
+    tidset split by each item's column in turn, so the split by entry pos is
+    bit pos of the cell's index. CapacityError guards |X| > CELL_WIDTH_LIMIT."""
     items = canon_items(items)
     m = len(items)
     if m > CELL_WIDTH_LIMIT:
@@ -301,6 +312,4 @@ def cell_table(db: TransactionDatabase, items: Sequence[int]) -> CellTable:
     for x in items:
         col = db.tidset((x,))
         cells = [c & ~col for c in cells] + [c & col for c in cells]
-    # cell idx holds the vector with entry pos = bit pos of idx: reversed product()
-    vectors = map(tuple, map(reversed, product((0, 1), repeat=m)))
-    return CellTable(items, dict(zip(vectors, map(int.bit_count, cells))))
+    return CellTable(items, map(int.bit_count, cells))

@@ -13,7 +13,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, support
-from .ordering import OrderKey, _key_payload, rank
+from .ordering import ClosedFamilyIndex, OrderKey, _key_payload, order_key
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
 
@@ -182,8 +182,12 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     its inclusion-exclusion keys. Other kinds: the predicate family with
     support >= min_support, ranked by margin vector or polynomial. The empty
     itemset participates when include_empty is set, min_size is 0 and it
-    passes the filters.
+    passes the filters. The keys are selected, not sorted: their order is
+    total (the tie-break compares unique itemsets), so the k smallest are
+    the sorted family's first k.
     """
+    import heapq  # imported here: at module level it would add to every command's start-up
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if min_size < 0 or (max_size is not None and max_size < min_size):
@@ -192,14 +196,14 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     if kind is PredicateKind.CLOSED:
         tau = max(tau, 1)
         family = mine_closed(db, tau)
-        members = [it for it, _ in family
-                   if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
-        keys = [key for _, key in rank(db, members, kind, closed_family=family,
-                                       closed_min_support=tau)]
+        index = ClosedFamilyIndex(family, db.n_items)
+        keys = [order_key(db, it, kind, index, tau) for it, _ in family
+                if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
     else:
         walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
                                           include_empty=include_empty))
-        keys = sorted(OrderKey(kind, _key_payload(classes, len(db)), s, items)
-                      for items, s, _, classes in walk if len(items) >= min_size)
+        keys = [OrderKey(kind, _key_payload(classes, len(db)), s, items)
+                for items, s, _, classes in walk if len(items) >= min_size]
+    # a list, so that k >= len(keys) falls back to sorted()
     return [RankedPattern(pos, key.items, key.support, key)
-            for pos, key in enumerate(keys[:k], start=1)]
+            for pos, key in enumerate(heapq.nsmallest(k, keys), start=1)]

@@ -105,7 +105,7 @@ SURVIVAL_CLASSES = {
     PredicateKind.FREE: SurvivalClasses(lambda db, x: (one_zero_cells(db, x),), lambda m: m),
     # totally shattered: all 2**|X| cells
     PredicateKind.TOTALLY_SHATTERED: SurvivalClasses(
-        lambda db, x: (tuple(cell_table(db, x).counts.values()),), lambda m: 2 ** m),
+        lambda db, x: (cell_table(db, x).cells,), lambda m: 2 ** m),
     # non-derivable: the odd- and even-parity cells (Calders & Goethals, PKDD 2002)
     PredicateKind.NON_DERIVABLE: SurvivalClasses(
         lambda db, x: cell_table(db, x).parity_split(), None),

@@ -1,8 +1,8 @@
 """The public API, pinned by name: adding or removing an export or a
-TransactionDatabase attribute changes one line here, on purpose."""
+TransactionDatabase or CellTable attribute changes one line here, on purpose."""
 
 import robustmine
-from robustmine import TransactionDatabase
+from robustmine import TransactionDatabase, cell_table
 
 EXPORTS = [
     "CELL_WIDTH_LIMIT", "CapacityError", "CellTable", "ClosedCoefficients", "EQUAL",
@@ -26,6 +26,8 @@ DATABASE_ATTRIBUTES = [
     "columns", "holding", "n_items", "row_items", "subset", "subset_mask", "tids", "tidset",
 ]
 
+CELL_TABLE_ATTRIBUTES = ["cells", "counts", "items", "parity_split", "total"]
+
 
 def test_package_exports():
     assert sorted(robustmine.__all__) == EXPORTS
@@ -34,3 +36,8 @@ def test_package_exports():
 def test_transaction_database_attributes():
     db = TransactionDatabase([[0, 1], [2]])
     assert sorted(n for n in dir(db) if not n.startswith("_")) == DATABASE_ATTRIBUTES
+
+
+def test_cell_table_attributes():
+    table = cell_table(TransactionDatabase([[0, 1], [2]]), (0, 1))
+    assert sorted(n for n in dir(table) if not n.startswith("_")) == CELL_TABLE_ATTRIBUTES

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import TOY_TEXT, all_itemsets, random_db, small_corpus
+from conftest import TOY_TEXT, all_itemsets, databases, random_db, small_corpus
 from robustmine import (
     CapacityError,
     FimiParseError,
@@ -142,3 +143,28 @@ def test_parse_labels():
     assert labels == {0: "milk", 2: "bread"}
     with pytest.raises(ValueError):
         parse_labels("0 milk\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(databases())
+def test_cell_table_cells_are_indexed_by_mask(case):
+    db = TransactionDatabase(*case)
+    for items in all_itemsets(db.n_items, 4):
+        table = cell_table(db, items)
+        m = len(items)
+        vectors = [tuple(idx >> pos & 1 for pos in range(m)) for idx in range(1 << m)]
+        want = {v: generalized_support(db, items, v) for v in vectors}
+        assert table.cells == tuple(want.values())
+        # the definitions the dict-keyed table had
+        assert list(table.counts.items()) == list(want.items())
+        assert all(table[v] == table[list(v)] == c for v, c in want.items())
+        assert table.total() == sum(want.values()) == len(db)
+        assert len(table) == len(want) == 2 ** m
+        assert table.parity_split() == ([c for v, c in want.items() if sum(v) % 2],
+                                        [c for v, c in want.items() if not sum(v) % 2])
+
+
+@pytest.mark.parametrize("values", [(0,), (0, 0, 0), (0, 2), (-1, 0), (1, None), ()])
+def test_cell_table_refuses_bad_vectors(toy, values):
+    with pytest.raises(KeyError):
+        cell_table(toy, (0, 2))[values]

@@ -62,8 +62,7 @@ def test_a_miscounting_cell_table_is_caught(monkeypatch):
 
     def miscounted_table(db, items):
         table = cell_table(db, items)
-        return CellTable(table.items, dict(zip(table.counts,
-                                               _first_nonzero_reads_zero(table.counts.values()))))
+        return CellTable(table.items, _first_nonzero_reads_zero(table.cells))
 
     def miscounted_one_zero(db, items):
         return tuple(_first_nonzero_reads_zero(one_zero_cells(db, items)))
