@@ -16,8 +16,9 @@ the transaction subsets behind each exactly: a pattern of multiplicity m
 survives in (1+x)**m - 1 ways by size. The count polynomial is one Python
 integer, evaluated at x = 2**(|D|+1), whose base-x digits are the counts by
 size. The Monte-Carlo path samples Bernoulli keep-masks from a
-counter-based generator, for databases too large to enumerate, and tests
-each distinct bitset of surviving patterns once.
+counter-based generator, for databases too large to enumerate, in blocks of
+about MC_BLOCK draws so that memory does not grow with |D|, and tests each
+distinct bitset of surviving patterns once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .dataset import CELL_WIDTH_LIMIT, CapacityError, TransactionDatabase, canon
 from .predicates import PredicateKind
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
-MC_CHUNK = 1024  # keep-masks drawn per block, to bound memory; the Philox stream is unchanged
+MC_BLOCK = 1 << 17  # Philox words drawn per block (1 MB), at least one keep-mask
 
 
 def _superset_sums(values: list[int]) -> list[int]:
@@ -182,8 +183,11 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
 
     Returns (estimate, stderr) with the binomial standard error
     sqrt(p(1-p)/n). The Philox stream makes runs reproducible across
-    platforms; it is drawn MC_CHUNK keep-masks at a time, which yields the
-    same values as one draw. Samples that keep the same patterns share one
+    platforms. It is drawn as raw 64-bit words, max(1, MC_BLOCK // |D|)
+    keep-masks at a time, which yields the same words as one draw. A
+    transaction is kept when word >> 11 < ceil(alpha * 2**53), which is
+    Generator.random() < alpha bit for bit: random() is (word >> 11) * 2**-53
+    and alpha * 2**53 is exact. Samples that keep the same patterns share one
     test of the definition.
     """
     import numpy as np
@@ -197,13 +201,16 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
     n = len(db)
     groups, _ = _patterns(db, items, kind)
     holds = definition(list(groups), items, db.n_items, kind)
-    columns = [j for g in groups.values() for j in g]  # the transactions grouped by pattern
+    columns = np.array([j for g in groups.values() for j in g], dtype=np.intp)  # grouped by pattern
     starts = np.cumsum([0] + [len(g) for g in groups.values()])[:-1]
-    rng = np.random.Generator(np.random.Philox(seed))
+    philox = np.random.Philox(seed)
+    threshold = np.uint64(math.ceil(alpha * 2.0 ** 53))
+    rows = max(1, MC_BLOCK // max(n, 1))
     seen: dict[int, bool] = {}
     hits = 0
-    for done in range(0, n_samples, MC_CHUNK):
-        keep_masks = rng.random((min(MC_CHUNK, n_samples - done), n)) < alpha
+    for done in range(0, n_samples, rows):
+        block = min(rows, n_samples - done)
+        keep_masks = (philox.random_raw(block * n) >> np.uint64(11) < threshold).reshape(block, n)
         # a sample keeps pattern p when it keeps one of p's transactions
         kept = (np.logical_or.reduceat(keep_masks[:, columns], starts, axis=1) if groups
                 else keep_masks[:, :0])

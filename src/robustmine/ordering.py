@@ -457,14 +457,15 @@ def order_key(db: TransactionDatabase, items, kind: PredicateKind,
     """Build the ranking key for one itemset; closed_family may be a
     ClosedFamilyIndex, as rank passes it."""
     items = canon_items(items)
-    if kind is PredicateKind.CLOSED:
-        if closed_family is None:
-            raise ValueError("ranking closed itemsets requires a closed family")
-        payload = closed_coefficients(items, closed_family, support(db, items),
-                                      n_items=db.n_items, min_support=closed_min_support)
-    else:
+    if kind is not PredicateKind.CLOSED:
         payload = _key_payload(survival_classes(db, items, kind), len(db))
-    return OrderKey(kind, payload, support(db, items), items)
+        return OrderKey(kind, payload, support(db, items), items)
+    if closed_family is None:
+        raise ValueError("ranking closed itemsets requires a closed family")
+    supp = support(db, items)
+    payload = closed_coefficients(items, closed_family, supp,
+                                  n_items=db.n_items, min_support=closed_min_support)
+    return OrderKey(kind, payload, supp, items)
 
 
 def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,

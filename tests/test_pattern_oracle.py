@@ -3,12 +3,14 @@
 The exhaustive oracle walks subsets of distinct transaction patterns; its
 counts must equal, exactly, those of the plain 2**|D| enumeration in
 plain_oracle.py. The Monte-Carlo oracle evaluates each surviving pattern set
-once and draws its keep-masks in chunks; its (estimate, stderr) must equal
-that of the per-mask loop below, which draws them in one block.
+once and draws its keep-masks in blocks of raw Philox words; its (estimate,
+stderr) must equal that of the per-mask loop below, which draws them in one
+block with Generator.random().
 """
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,19 +104,53 @@ def per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed):
     return est, math.sqrt(est * (1.0 - est) / n_samples)
 
 
-@pytest.mark.parametrize("n_samples", [1, oracle.MC_CHUNK - 1, oracle.MC_CHUNK,
-                                       oracle.MC_CHUNK + 1, 2 * oracle.MC_CHUNK + 1])
-def test_monte_carlo_equals_per_mask_reference(n_samples):
+@pytest.mark.parametrize("block", [lambda n: 1, lambda n: n - 1, lambda n: n, lambda n: n + 1,
+                                   lambda n: 3 * n, lambda n: oracle.MC_BLOCK],
+                         ids=["1", "n-1", "n", "n+1", "3n", "default"])
+def test_monte_carlo_equals_per_mask_reference(block, monkeypatch):
     cases = [(TransactionDatabase([], n_items=2), [(), (0, 1)], 0.5),
              (parse_fimi(TOY_TEXT), [(), (0, 1), (1, 3, 4)], 0.5),
              (random_db(9, 40, 6, 0.4), [(0,), (2, 5), (0, 1, 3)], 0.2)]
     for db, itemsets, alpha in cases:
-        for items in itemsets:
-            for kind in PredicateKind:
-                for seed in (0, 5):
-                    assert monte_carlo_robustness(db, items, kind, alpha, n_samples, seed) == \
-                        per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed), \
-                        (row_items(db), items, kind, seed)
+        n = len(db)
+        monkeypatch.setattr(oracle, "MC_BLOCK", max(1, block(n)))
+        rows = max(1, oracle.MC_BLOCK // max(n, 1))  # keep-masks per block
+        # both sides of the first block edge, and one past the second; the
+        # reference loops in Python, so counts past 4,000 are left out (the
+        # default block on 0 and 6 rows, and its second edge on 40 rows)
+        edges = {1, rows - 1, rows, rows + 1, 2 * rows + 1}
+        for n_samples in sorted(c for c in edges if 0 < c <= 4000):
+            for items in itemsets:
+                for kind in PredicateKind:
+                    for seed in (0, 5):
+                        assert monte_carlo_robustness(db, items, kind, alpha, n_samples, seed) \
+                            == per_mask_monte_carlo(db, items, kind, alpha, n_samples, seed), \
+                            (row_items(db), items, kind, seed, oracle.MC_BLOCK, n_samples)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 1e-300, 0.002, 0.1 + 0.2, 0.5,
+                                   np.nextafter(1.0, 0.0), 1.0])
+def test_raw_word_threshold_equals_generator_random(alpha):
+    # monte_carlo_robustness keeps a transaction when word >> 11 < ceil(alpha * 2**53),
+    # which holds only while numpy's random() is (word >> 11) * 2**-53
+    threshold = math.ceil(alpha * 2.0 ** 53)
+    for seed in (0, 7):
+        raw = np.random.Philox(seed).random_raw(50_000)
+        drawn = np.random.Generator(np.random.Philox(seed)).random(50_000)
+        assert np.array_equal(raw >> np.uint64(11) < np.uint64(threshold), drawn < alpha)
+
+
+def test_monte_carlo_memory_does_not_grow_with_rows():
+    # a block of 1,024 keep-masks here would hold 410 MB of doubles
+    db = TransactionDatabase([[j % 3] for j in range(50_000)])
+    db.row_items(0)  # the row view is the database's, built once
+    tracemalloc.start()
+    try:
+        monte_carlo_robustness(db, (0,), PredicateKind.FREE, 0.5, 1100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
 
 
 def sub_database_cases():
