@@ -9,7 +9,6 @@ supports, and the four structural predicates on this little database.
 from robustmine import (
     PredicateKind,
     cell_table,
-    complete_closed_family,
     derivability_bounds,
     generalized_support,
     is_closed,
@@ -76,5 +75,5 @@ print("is {0,2} totally shattered?", is_totally_shattered(db, (0, 2)))
 # computations need later on
 print()
 print("closed family with supports:")
-for items, supp in complete_closed_family(db):
+for items, supp in mine_closed(db, 1):
     print(" ", items, supp)

@@ -10,7 +10,6 @@ closed form, no sampling involved.
 from robustmine import (
     PredicateKind,
     alpha_bound,
-    complete_closed_family,
     margin_vector,
     mine_closed,
     mine_robust,

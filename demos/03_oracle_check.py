@@ -14,8 +14,8 @@ from robustmine import (
     PredicateKind,
     TransactionDatabase,
     breakdown_vector,
-    complete_closed_family,
     exhaustive_robustness,
+    mine_closed,
     monte_carlo_robustness,
     robustness,
 )
@@ -28,7 +28,7 @@ print(f"random database: {len(db)} transactions, {db.n_items} items")
 # analytic vs exhaustive, all four property kinds (the closed formula
 # needs the complete closed family as input)
 x = (1, 3)
-fam = complete_closed_family(db)
+fam = mine_closed(db, 1)
 print()
 print(f"itemset {x} at alpha = 0.6:")
 for kind in PredicateKind:

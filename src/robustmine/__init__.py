@@ -12,8 +12,8 @@ from .dataset import (CELL_WIDTH_LIMIT, CapacityError, CellTable, FimiParseError
                       support)
 from .experiments import (SweepResult, compliance, noise_mix, parameter_free_order,
                           rank_distance, robustness_bucket_order, sweep)
-from .mining import (MinedItemset, MiningConfig, RankedPattern, complete_closed_family,
-                     mine_closed, mine_robust, resolve_min_support, top_k)
+from .mining import (MinedItemset, MiningConfig, RankedPattern, mine_closed, mine_robust,
+                     resolve_min_support, top_k)
 from .oracle import (EXHAUSTIVE_LIMIT, breakdown_vector, exhaustive_robustness,
                      monte_carlo_robustness)
 from .ordering import (EQUAL, GREATER, LESS, ClosedCoefficients, OrderKey, alpha_bound,

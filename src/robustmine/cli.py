@@ -16,10 +16,9 @@ import sys
 from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
 from .experiments import (compliance, noise_mix, rank_distance, robustness_bucket_order,
                           sweep, walk_orders)
-from .mining import (MiningConfig, complete_closed_family, mine_closed, mine_robust,
-                     resolve_min_support, top_k)
+from .mining import MiningConfig, mine_closed, mine_robust, resolve_min_support, top_k
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
-from .ordering import comparison_exact
+from .ordering import ClosedFamilyIndex, comparison_exact
 from .ordering import rank as rank_itemsets
 from .predicates import PredicateKind
 from .robustness import robustness
@@ -256,12 +255,12 @@ def cmd_experiment_rank_distance(args) -> int:
     db = _load_db(args)
     tau = resolve_min_support(args.min_support, len(db))
     if kind is PredicateKind.CLOSED:
-        family = mine_closed(db, max(tau, 1))
-        members = [items for items, _ in family]
+        index = ClosedFamilyIndex(mine_closed(db, max(tau, 1)), db.n_items, min_support=max(tau, 1))
+        members = index.members  # the mined itemsets, in mining order
         # closed robustness needs every closed superset: score with the threshold-1 family
-        complete = family if tau <= 1 else complete_closed_family(db)
+        complete = index if tau <= 1 else mine_closed(db, 1)
         buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=complete)
-        order = [items for items, _ in rank_itemsets(db, members, kind, closed_family=family)]
+        order = [items for items, _ in rank_itemsets(db, members, kind, closed_family=index)]
     else:
         buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)
     if len(order) < 2:

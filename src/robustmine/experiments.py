@@ -7,12 +7,13 @@ serialization for the command line lives in the cli module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, groupby
+from bisect import bisect_right, insort
+from itertools import compress, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
 from .mining import MiningConfig, levelwise
-from .ordering import ClosedFamilyIndex, OrderKey, _key_payload, rank
+from .ordering import ClosedFamilyIndex, OrderKey, key_payload, rank
 from .predicates import PredicateKind
 from .robustness import check_probability, robustness, survival
 
@@ -121,8 +122,11 @@ def rank_distance(bucketed, other) -> float:
     budget = n * (n - 1) // 2 - sum(len(b) * (len(b) - 1) // 2 for b in b1)
     if budget == 0:
         raise ValueError("distance undefined: every pair is tied in the first ranking")
-    discordant = sum(1 for x, y in combinations(sorted(pos1), 2)
-                     if (pos1[x] - pos1[y]) * (pos2[x] - pos2[y]) < 0)
+    discordant, seen = 0, []  # seen: the earlier buckets' places in the second ranking, sorted
+    for later in ([pos2[x] for x in bucket] for bucket in b1):
+        discordant += sum(len(seen) - bisect_right(seen, p) for p in later)
+        for p in later:
+            insort(seen, p)
     return 100.0 * discordant / budget
 
 
@@ -131,7 +135,7 @@ def robustness_bucket_order(db: TransactionDatabase, itemsets, kind: PredicateKi
     """Itemsets grouped by numeric robustness at one alpha, most robust first;
     equal values share a bucket."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
-        closed_family = ClosedFamilyIndex(closed_family, db.n_items)
+        closed_family = ClosedFamilyIndex.of(closed_family, db.n_items)
     return _buckets((it, robustness(db, it, kind, alpha, closed_family=closed_family))
                     for it in map(canon_items, itemsets))
 
@@ -154,6 +158,6 @@ def walk_orders(db: TransactionDatabase, kind: PredicateKind, alpha: float, min_
     walk = list(levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
                                            include_empty=include_empty)))
     buckets = _buckets((items, survival(classes, alpha)) for items, _, _, classes in walk)
-    keys = sorted(OrderKey(kind, _key_payload(classes, len(db)), s, items)
+    keys = sorted(OrderKey(kind, key_payload(classes, len(db)), s, items)
                   for items, s, _, classes in walk)
     return buckets, [key.items for key in keys]

@@ -13,7 +13,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, support
-from .ordering import ClosedFamilyIndex, OrderKey, _key_payload, order_key
+from .ordering import ClosedFamilyIndex, OrderKey, key_payload, order_key
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
 
@@ -111,7 +111,7 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     # one level's keys are alive at a time; a level sorts by key alone, as
     # comparing pairs would first test keys for equality
     dlen = len(db)
-    scored = ((OrderKey(config.kind, _key_payload(classes, dlen), s, items), r)
+    scored = ((OrderKey(config.kind, key_payload(classes, dlen), s, items), r)
               for items, s, r, classes in levelwise(db, config))
     return [MinedItemset(key.items, key.support, r)
             for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
@@ -160,11 +160,6 @@ def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int,
     return out
 
 
-def complete_closed_family(db: TransactionDatabase) -> list[tuple[tuple[int, ...], int]]:
-    """Every nonempty closed itemset with its support (threshold-1 mining)."""
-    return mine_closed(db, 1)
-
-
 @dataclass(frozen=True)
 class RankedPattern:
     position: int
@@ -196,13 +191,13 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     if kind is PredicateKind.CLOSED:
         tau = max(tau, 1)
         family = mine_closed(db, tau)
-        index = ClosedFamilyIndex(family, db.n_items)
-        keys = [order_key(db, it, kind, index, tau) for it, _ in family
+        index = ClosedFamilyIndex(family, db.n_items, min_support=tau)
+        keys = [order_key(db, it, kind, index) for it, _ in family
                 if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
     else:
         walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
                                           include_empty=include_empty))
-        keys = [OrderKey(kind, _key_payload(classes, len(db)), s, items)
+        keys = [OrderKey(kind, key_payload(classes, len(db)), s, items)
                 for items, s, _, classes in walk if len(items) >= min_size]
     # a list, so that k >= len(keys) falls back to sorted()
     return [RankedPattern(pos, key.items, key.support, key)

@@ -183,7 +183,7 @@ class NdiPolynomial:
         return isinstance(other, NdiPolynomial) and self.compare(other) == EQUAL
 
 
-def _key_payload(classes, dlen: int):
+def key_payload(classes, dlen: int):
     """Ranking payload from survival classes: one class gives its sorted margin
     vector, the two ndi classes their lazy NdiPolynomial."""
     if len(classes) == 1:
@@ -195,22 +195,22 @@ def _key_payload(classes, dlen: int):
 class ClosedCoefficients:
     """Sparse robustness polynomial for the closed property.
 
-    coeffs maps degree k -> integer coefficient, kept as its nonzero terms
-    in ascending degree order; contributions maps each participating closed
-    superset to its signed multiplier. A coefficient is exact when every
-    superset at its support level was in the mined family: supp - k >= the
-    family's mining threshold, or the threshold was 1 (support-0 closed
-    itemsets other than the always-added full itemset do not exist, so a
-    threshold-1 family is complete).
+    coeffs maps degree k -> integer coefficient, kept as its nonzero terms in
+    ascending degree order; contributions, built when read from the walk kept
+    (the index, X's superset positions, their multipliers mu and that of an
+    inserted empty itemset), maps each participating closed superset to its
+    multiplier. A coefficient is exact when every superset at its support level
+    was mined: supp - k >= min_support, the index's, or that is 1 (support-0
+    closed itemsets other than the always-added full itemset do not exist).
     """
 
     coeffs: dict
     supp: int
     min_support: int = 1
-    # the multipliers of the listed supersets, and (n_items, multiplier) of a
-    # full itemset the family lacks, which contributions builds when read
-    multipliers: dict = field(default_factory=dict, compare=False, repr=False)
-    top: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    index: ClosedFamilyIndex | None = field(default=None, compare=False, repr=False)
+    positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    mu: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    empty: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         terms = sorted(self.coeffs.items())
@@ -218,10 +218,10 @@ class ClosedCoefficients:
 
     @property
     def contributions(self) -> dict:
-        if self.top is None:
-            return self.multipliers
-        n_items, e = self.top
-        return {**self.multipliers, tuple(range(n_items)): e}
+        out = {(): self.empty} if self.empty else {}
+        if self.index is not None:
+            out.update(zip(map(self.index.itemset, self.positions), self.mu))
+        return out
 
     def is_exact(self, k: int) -> bool:
         return self.min_support <= 1 or self.supp - k >= self.min_support
@@ -242,7 +242,7 @@ def _digit_sums(bitsets) -> list[int]:
 
 
 class ClosedFamilyIndex:
-    """A closed family indexed once for many closed_coefficients queries.
+    """A closed family mined at min_support (1: complete), indexed once for many queries.
 
     Positions follow the canonical members in (size, lexicographic) order.
     The last is the full itemset over n_items; when the family lacks it, it
@@ -254,7 +254,18 @@ class ClosedFamilyIndex:
     members containing cover are indexed, after the whole family is checked.
     """
 
-    def __init__(self, family, n_items: int | None = None, cover=()):
+    @classmethod
+    def of(cls, family, n_items: int | None = None, cover=(), min_support: int | None = None):
+        """The index of (itemset, support) pairs mined at min_support (1 when omitted),
+        or an index once any n_items and min_support given agree with its own."""
+        if not isinstance(family, cls):
+            return cls(family, n_items, cover, 1 if min_support is None else min_support)
+        for name, given in (("n_items", n_items), ("min_support", min_support)):
+            if given is not None and given != (own := getattr(family, name)):
+                raise ValueError(f"{name}={given} differs from the index's {own}")
+        return family
+
+    def __init__(self, family, n_items: int | None = None, cover=(), min_support: int = 1):
         fam = {}
         for f_items, f_supp in family:
             fi = canon_items(f_items)
@@ -267,7 +278,7 @@ class ClosedFamilyIndex:
         outside = next((it for it in fam if it and it[-1] >= n_items), None)
         if outside is not None:
             raise ValueError(f"family itemset {outside} outside the {n_items}-item universe")
-        self.n_items = n_items
+        self.n_items, self.min_support = n_items, min_support
         self.members = sorted(filter(set(cover).issubset, fam), key=lambda it: (len(it), it))
         self.supports = [fam[it] for it in self.members]
         if not self.members or len(self.members[-1]) < n_items:
@@ -288,7 +299,7 @@ class ClosedFamilyIndex:
         """The member at position p; only here is an unlisted full itemset built."""
         return self.members[p] if p < len(self.members) else tuple(range(self.n_items))
 
-    def supersets(self, x: tuple[int, ...]) -> list[int]:
+    def supersets(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Positions of the members containing x, in member order: a walk over
         the set bits alone, as x has few closed supersets in a large family."""
         sup = self.below_top
@@ -300,7 +311,7 @@ class ClosedFamilyIndex:
             low = sup & -sup
             out.append(low.bit_length() - 1)
             sup ^= low
-        return out
+        return tuple(out)
 
     def subsets(self, p: int) -> int:
         """Bitset of the positions whose members are subsets of the member Y
@@ -327,27 +338,23 @@ class ClosedFamilyIndex:
 
 
 def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
-                        min_support: int = 1) -> ClosedCoefficients:
+                        min_support: int | None = None) -> ClosedCoefficients:
     """Inclusion-exclusion coefficients of closedness robustness from a closed family.
 
-    family: a ClosedFamilyIndex, or (itemset, support) pairs, the closed
-    itemsets mined at min_support, which are indexed first (n_items then
-    sets the index width). The full itemset is present with support 0 when
-    the family lacks it. The supersets Y of X are walked in subset order,
-    each receiving the Moebius multiplier e(Y) = mu(X, Y) of the closed
-    lattice: e(X) = 1 when X itself is in the family, otherwise minus the
-    sum of e over the processed proper subsets of Y. That sum is read from
-    bitsets, as sum of v * |G_v & sub(Y)| over the processed positions G_v
-    with multiplier v and the positions sub(Y) of Y's subsets, so it costs
-    one AND per distinct multiplier, not one subset test per superset.
-    Coefficient k collects the multipliers of supersets with support
-    supp_x - k.
+    family: a ClosedFamilyIndex, or (itemset, support) pairs mined at
+    min_support, as ClosedFamilyIndex.of takes them. The full itemset is
+    present with support 0 when the family lacks it. The supersets Y of X
+    are walked in subset order, each receiving the Moebius multiplier
+    e(Y) = mu(X, Y) of the closed lattice: e(X) = 1 when X itself is in the
+    family, otherwise minus the sum of e over the processed proper subsets
+    of Y. That sum is read from bitsets, as sum of v * |G_v & sub(Y)| over
+    the processed positions G_v with multiplier v and the positions sub(Y)
+    of Y's subsets, so it costs one AND per distinct multiplier, not one
+    subset test per superset. Coefficient k collects the multipliers of
+    supersets with support supp_x - k.
     """
     x = canon_items(items)
-    if not isinstance(family, ClosedFamilyIndex):
-        family = ClosedFamilyIndex(family, n_items, x)
-    elif n_items is not None and n_items != family.n_items:
-        raise ValueError(f"n_items={n_items} differs from the index's {family.n_items}")
+    family = ClosedFamilyIndex.of(family, n_items, x, min_support)
     if x and x[-1] >= family.n_items:
         raise ValueError(f"itemset {x} outside the {family.n_items}-item universe")
     # mined families list nonempty itemsets only; the empty itemset is closed
@@ -376,11 +383,8 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
         coeffs[supp_x - fs] = coeffs.get(supp_x - fs, 0) + e
     if base + len(es) >= 2 and base + sum(es) != 0:
         raise ArithmeticError("closed-family multipliers must cancel")
-    listed = family.members
-    multipliers = {(): 1} if base else {}
-    multipliers.update(zip((listed[p] for p in positions if p < len(listed)), es))
-    top = None if positions[-1] < len(listed) else (family.n_items, es[-1])
-    return ClosedCoefficients(coeffs, supp_x, min_support, multipliers, top)
+    return ClosedCoefficients(coeffs, supp_x, family.min_support, family, positions,
+                              tuple(es), base)
 
 
 def compare_polynomials(p, q) -> int:
@@ -453,29 +457,27 @@ def compare_keys(a: OrderKey, b: OrderKey) -> int:
 
 
 def order_key(db: TransactionDatabase, items, kind: PredicateKind,
-              closed_family=None, closed_min_support: int = 1) -> OrderKey:
+              closed_family=None) -> OrderKey:
     """Build the ranking key for one itemset; closed_family may be a
-    ClosedFamilyIndex, as rank passes it."""
+    ClosedFamilyIndex, whose min_support the closed key takes."""
     items = canon_items(items)
-    if kind is not PredicateKind.CLOSED:
-        payload = _key_payload(survival_classes(db, items, kind), len(db))
-        return OrderKey(kind, payload, support(db, items), items)
-    if closed_family is None:
-        raise ValueError("ranking closed itemsets requires a closed family")
     supp = support(db, items)
-    payload = closed_coefficients(items, closed_family, supp,
-                                  n_items=db.n_items, min_support=closed_min_support)
+    if kind is not PredicateKind.CLOSED:
+        payload = key_payload(survival_classes(db, items, kind), len(db))
+    elif closed_family is None:
+        raise ValueError("ranking closed itemsets requires a closed family")
+    else:
+        payload = closed_coefficients(items, closed_family, supp, n_items=db.n_items)
     return OrderKey(kind, payload, supp, items)
 
 
 def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
-         closed_family=None, closed_min_support: int = 1) -> list[tuple[tuple[int, ...], OrderKey]]:
+         closed_family=None) -> list[tuple[tuple[int, ...], OrderKey]]:
     """Sort itemsets most-robust-first; ties fall back to larger support,
     then lexicographic itemset. Deterministic for identical inputs."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
-        closed_family = ClosedFamilyIndex(closed_family, db.n_items)
-    keys = sorted(order_key(db, it, kind, closed_family, closed_min_support)
-                  for it in itemsets)
+        closed_family = ClosedFamilyIndex.of(closed_family, db.n_items)
+    keys = sorted(order_key(db, it, kind, closed_family) for it in itemsets)
     return [(k.items, k) for k in keys]
 
 

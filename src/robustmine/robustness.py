@@ -81,9 +81,9 @@ def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
     """Probability the itemset stays closed, by inclusion-exclusion over its
     closed supersets.
 
-    closed_family, as pairs or as a ClosedFamilyIndex, must contain every
-    nonempty closed superset of the itemset with its support, as the
-    threshold-1 family does; the full and empty itemsets are supplied
+    closed_family, as pairs or as a threshold-1 ClosedFamilyIndex, must
+    contain every nonempty closed superset of the itemset with its support,
+    as the threshold-1 family does; the full and empty itemsets are supplied
     automatically when they belong in it. When it is omitted, the closed
     sets of the itemset's conditional database (the transactions holding it)
     are mined: they are exactly its nonempty closed supersets, with the same
@@ -94,7 +94,7 @@ def robustness_closed_exact(db: TransactionDatabase, items, alpha: float,
     if closed_family is None:
         from .mining import mine_closed  # imported here: mining imports this module
         closed_family = mine_closed(db.holding(items), 1)
-    poly = closed_coefficients(items, closed_family, support(db, items), n_items=db.n_items)
+    poly = closed_coefficients(items, closed_family, support(db, items), db.n_items, min_support=1)
     return _checked(evaluate_poly(poly.coeffs, 1.0 - alpha))
 
 

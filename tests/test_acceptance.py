@@ -28,7 +28,6 @@ from robustmine import (
     compare_keys,
     compare_polynomials,
     compare_sequences,
-    complete_closed_family,
     compliance,
     evaluate_predicate,
     expand,
@@ -99,7 +98,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def families(corpus):
-    return [complete_closed_family(db) for db in corpus]
+    return [mine_closed(db, 1) for db in corpus]
 
 
 ALPHAS_ORACLE = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -282,7 +281,7 @@ def test_criterion_5_closed_coefficient_exactness():
             db = random_db(3000 + i, 6 + i % 7, k, densities[i % 3])
             seeds += 1
             supports = _all_supports(db)
-            family = complete_closed_family(db)
+            family = mine_closed(db, 1)
             for xmask in range(1 << k):
                 items = _mask_items(xmask, k)
                 literal = _literal_coefficients(xmask, supports, k)
@@ -370,7 +369,7 @@ def test_criterion_8_experiment_harness(corpus):
                     assert row == sorted(row)
 
         # closed-form checks of the two ranking comparisons
-        fam = complete_closed_family(toy)
+        fam = mine_closed(toy, 1)
         order = parameter_free_order(toy, [x for x, _ in fam],
                                      PredicateKind.CLOSED, closed_family=fam)
         assert compliance(order, order) == [1.0] * len(order)

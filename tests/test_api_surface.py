@@ -10,8 +10,8 @@ EXPORTS = [
     "OrderKey", "PredicateKind", "RankedPattern", "SweepResult", "TransactionDatabase",
     "alpha_bound", "breakdown_vector", "canon_items", "cell_table", "closed_coefficients",
     "compare_keys", "compare_polynomials", "compare_sequences", "comparison_exact",
-    "complete_closed_family", "compliance", "dataset", "derivability_bounds", "evaluate_poly",
-    "evaluate_predicate", "exhaustive_robustness", "expand", "experiments",
+    "compliance", "dataset", "derivability_bounds", "evaluate_poly", "evaluate_predicate",
+    "exhaustive_robustness", "expand", "experiments",
     "generalized_support", "is_closed", "is_free", "is_non_derivable", "is_totally_shattered",
     "load_fimi", "load_labels", "margin_vector", "mine_closed", "mine_robust", "mining",
     "monte_carlo_robustness", "ndi_polynomial", "noise_mix", "one_zero_cells", "oracle",

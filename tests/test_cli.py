@@ -193,6 +193,22 @@ def test_verify_over_21_items_hits_the_cell_limit(capsys, tmp_path, rows):
                 (2, "", want), (predicate, method)
 
 
+def test_mine_rank_and_sweep_hit_the_cell_limit(capsys, tmp_path, monkeypatch):
+    # the real limit needs 2**19 rows or more to reach (a 21-item ts candidate
+    # has every 20-item subset shattered; a 21-item ndi candidate has 20-item
+    # ndi subsets, and |X| <= log2|D| + 1), so it is lowered to 2 over the 8
+    # value vectors of items 0..2
+    monkeypatch.setattr("robustmine.dataset.CELL_WIDTH_LIMIT", 2)
+    path = tmp_path / "cube.fimi"
+    path.write_text("".join(" ".join(str(i) for i in range(3) if m >> i & 1) + "\n"
+                            for m in range(8)))
+    want = (2, "", "robustmine: error: cell table over 3 items exceeds the 2-item limit\n")
+    for predicate in ("ts", "ndi"):
+        for argv in (["mine", "--alpha", "0.5"], ["rank"], ["experiment", "sweep"]):
+            assert run(capsys, *argv, "--input", str(path), "--predicate", predicate) == \
+                want, (predicate, argv)
+
+
 @pytest.mark.parametrize("predicate, width", [("free", 21), ("ndi", 12), ("ts", 12)])
 def test_verify_wide_itemset_on_four_rows_is_fast(capsys, tmp_path, predicate, width):
     # the oracle tests free without listing the 2**21 subsets of the itemset,

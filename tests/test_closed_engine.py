@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 
 from conftest import all_itemsets, databases, random_db
 from robustmine import (ClosedCoefficients, PredicateKind, TransactionDatabase,
-                        closed_coefficients, compare_polynomials, complete_closed_family,
-                        is_closed, mine_closed, parse_fimi, rank, resolve_min_support,
-                        robustness, robustness_closed_exact, support)
+                        closed_coefficients, compare_polynomials, is_closed, mine_closed,
+                        order_key, parameter_free_order, parse_fimi, rank,
+                        resolve_min_support, robustness, robustness_bucket_order,
+                        robustness_closed_exact, support)
 from robustmine.cli import main
 from robustmine.ordering import EQUAL, GREATER, LESS, ClosedFamilyIndex
 
@@ -116,7 +117,7 @@ def test_closed_coefficients_match_unindexed(case):
     for tau in THRESHOLDS:
         tau = max(resolve_min_support(tau, len(db)), 1)
         family = reference_mine_closed(db, tau)
-        index = ClosedFamilyIndex(family, n)
+        index = ClosedFamilyIndex(family, n, min_support=tau)
         for x in all_itemsets(n):
             s = support(db, x)
             want = reference_closed_coefficients(x, family, s, n, tau)
@@ -247,6 +248,85 @@ def test_closed_coefficients_atoms_below_the_top():
         assert [e for it, e in cc.contributions.items() if len(it) == len(x) + 1] == [-1] * m
 
 
+CLOSED = PredicateKind.CLOSED
+
+
+@settings(max_examples=60, deadline=None)
+@given(databases())
+@example(([], 0))
+@example(SHARED)
+def test_closed_entry_points_take_pairs_or_an_index(case):
+    db = TransactionDatabase(*case)
+    family = mine_closed(db, 1)
+    index = ClosedFamilyIndex.of(family, db.n_items)
+    members = [it for it, _ in family]
+    assert rank(db, members, CLOSED, family) == rank(db, members, CLOSED, index)
+    assert parameter_free_order(db, members, CLOSED, family) == \
+        parameter_free_order(db, members, CLOSED, index)
+    assert robustness_bucket_order(db, members, CLOSED, 0.4, family) == \
+        robustness_bucket_order(db, members, CLOSED, 0.4, index)
+    for x in all_itemsets(db.n_items):
+        s = support(db, x)
+        want = closed_coefficients(x, family, s, db.n_items)
+        got = closed_coefficients(x, index, s)
+        assert (got, got.contributions) == (want, want.contributions)
+        assert order_key(db, x, CLOSED, family) == order_key(db, x, CLOSED, index)
+        assert robustness(db, x, CLOSED, 0.4, closed_family=family) == \
+            robustness(db, x, CLOSED, 0.4, closed_family=index)
+        assert robustness_closed_exact(db, x, 0.7, family) == \
+            robustness_closed_exact(db, x, 0.7, index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(databases())
+@example(SHARED)
+@example(([[0, 1, 2]] * 3 + [[0]] * 2, 3))
+def test_rank_keys_are_exact_up_to_their_index_threshold(case):
+    # criterion 5's rule: a coefficient of degree d is exact when s - d >= tau
+    db = TransactionDatabase(*case)
+    for tau in (1, 2, 3):
+        family = mine_closed(db, tau)
+        index = ClosedFamilyIndex(family, db.n_items, min_support=tau)
+        for _, key in rank(db, [it for it, _ in family], CLOSED, index):
+            s = key.support
+            assert [key.payload.is_exact(d) for d in range(s + 1)] == \
+                [tau <= 1 or s - d >= tau for d in range(s + 1)], (key.items, tau)
+
+
+def test_of_passes_an_index_through_only_when_it_agrees():
+    pairs = [((0,), 3), ((0, 1), 1)]
+    index = ClosedFamilyIndex.of(pairs, min_support=2)
+    assert (index.n_items, index.min_support) == (2, 2)
+    assert ClosedFamilyIndex.of(pairs).min_support == 1
+    assert ClosedFamilyIndex.of(index) is index
+    assert ClosedFamilyIndex.of(index, 2, (0,), 2) is index
+    with pytest.raises(ValueError, match="n_items=3 differs from the index's 2"):
+        ClosedFamilyIndex.of(index, 3)
+    with pytest.raises(ValueError, match="min_support=1 differs from the index's 2"):
+        ClosedFamilyIndex.of(index, min_support=1)
+    with pytest.raises(ValueError, match="min_support=3 differs from the index's 2"):
+        closed_coefficients((0,), index, 3, min_support=3)
+    # closed robustness needs every closed superset: a thresholded index is refused
+    db = TransactionDatabase([[0], [0], [0, 1]])
+    with pytest.raises(ValueError, match="min_support=1 differs from the index's 2"):
+        robustness(db, (0,), CLOSED, 0.5, closed_family=index)
+
+
+def test_contributions_read_after_the_cache_started_over():
+    # every key holds the one index; its sub(Y) cache starts over on every
+    # entry, and the contributions built afterwards still match the reference
+    db = random_db(5, 40, 9, 0.5)
+    family = mine_closed(db, 1)
+    with mock.patch("robustmine.ordering.SUBSET_CACHE_BITS", 0):
+        ranked = rank(db, [it for it, _ in family], CLOSED, family)
+    index = ranked[0][1].payload.index
+    assert len(family) > 100 and len(index._subsets) <= 1
+    for x, key in ranked:
+        assert key.payload.index is index
+        want = reference_closed_coefficients(x, family, key.support, db.n_items)
+        assert (key.payload.coeffs, key.payload.contributions) == want, x
+
+
 def test_family_outside_the_universe_is_rejected():
     with pytest.raises(ValueError, match="outside the 2-item universe"):
         ClosedFamilyIndex([((0,), 3), ((1, 2), 1)], 2)
@@ -277,7 +357,7 @@ def _without_family(db, x, alpha):
 def test_closed_robustness_from_the_conditional_family(case):
     # X's closed supersets are the closed sets of the rows holding X, same supports
     db = TransactionDatabase(*case)
-    family = complete_closed_family(db)
+    family = mine_closed(db, 1)
     index = ClosedFamilyIndex(family, db.n_items)
     for x in all_itemsets(db.n_items):
         conditional = mine_closed(db.holding(x), 1)
@@ -290,7 +370,7 @@ def test_closed_robustness_from_the_conditional_family(case):
 
 def test_closed_robustness_without_family_edge_cases():
     db = parse_fimi("0 1\n2\n0 1 3\n")
-    family = complete_closed_family(db)
+    family = mine_closed(db, 1)
     cases = {(2, 3): 0.0,  # support 0: not closed in any subsample
              (1,): None,  # not closed: its closure is {0, 1}
              (): None,  # closed: no item holds every row
@@ -304,7 +384,7 @@ def test_closed_robustness_without_family_edge_cases():
     blank = parse_fimi("\n  \n\n")
     assert (len(blank), blank.n_items) == (0, 0)
     assert _without_family(blank, (), 0.5) == \
-        robustness_closed_exact(blank, (), 0.5, complete_closed_family(blank)) == 1.0
+        robustness_closed_exact(blank, (), 0.5, mine_closed(blank, 1)) == 1.0
     with pytest.raises(ValueError, match="outside"):
         _without_family(blank, (0,), 0.5)
 

@@ -105,3 +105,15 @@ def test_oracle_imports_nothing_that_counts_cells():
                 assert module not in modules and not modules & set(imported), ast.dump(node)
         names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")}
         assert not names & FORBIDDEN, ast.dump(node)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name is its module's own: another module that needs it
+    # asks for a public name
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "robustmine"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, ast.dump(node))

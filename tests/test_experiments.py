@@ -1,9 +1,9 @@
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy.random  # noqa: F401  (noise_mix loads it lazily; keep it out of the memory trace)
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_db, row_items
 from robustmine import (
@@ -130,6 +130,52 @@ def test_rank_distance_validation():
         rank_distance([(0,), (1,)], [(0,)])  # different universes
     with pytest.raises(ValueError):
         rank_distance([(0,), (0,)], [(0,), (1,)])  # repeats
+
+
+def pair_loop_distance(b1, b2):
+    """rank_distance by its definition, every pair of itemsets tested."""
+    pos1 = {x: i for i, bucket in enumerate(b1) for x in bucket}
+    pos2 = {x: i for i, bucket in enumerate(b2) for x in bucket}
+    pairs = list(combinations(sorted(pos1), 2))
+    budget = sum(1 for x, y in pairs if pos1[x] != pos1[y])
+    if budget == 0:
+        raise ValueError("every pair is tied in the first ranking")
+    discordant = sum(1 for x, y in pairs if (pos1[x] - pos1[y]) * (pos2[x] - pos2[y]) < 0)
+    return 100.0 * discordant / budget
+
+
+@st.composite
+def tied_rankings(draw):
+    """Two bucketed rankings of the same itemsets, with ties in both."""
+    items = [(i,) for i in range(draw(st.integers(0, 12)))]
+
+    def bucketed():
+        buckets = []
+        for x in draw(st.permutations(items)):
+            if not buckets or draw(st.booleans()):
+                buckets.append([])
+            buckets[-1].append(x)
+        return buckets
+
+    return bucketed(), bucketed()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rankings())
+@example(([], []))
+@example(([[(0,), (1,), (2,)]], [[(2,)], [(0,), (1,)]]))
+@example(([[(0,), (1,)], [(2,)], [(3,), (4,)]], [[(4,), (3,), (2,)], [(1,), (0,)]]))
+def test_rank_distance_matches_the_pair_loop(rankings):
+    b1, b2 = rankings
+    try:
+        want = pair_loop_distance(b1, b2)
+    except ValueError:
+        with pytest.raises(ValueError, match="every pair is tied"):
+            rank_distance(b1, b2)
+    else:
+        assert rank_distance(b1, b2) == want
+        assert rank_distance(b1, [x for bucket in b2 for x in sorted(bucket)]) == \
+            pair_loop_distance(b1, [[x] for bucket in b2 for x in sorted(bucket)])
 
 
 def test_bucket_order_groups_equal_scores(toy):

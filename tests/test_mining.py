@@ -7,7 +7,6 @@ from robustmine import (
     MinedItemset,
     MiningConfig,
     PredicateKind,
-    complete_closed_family,
     evaluate_predicate,
     is_closed,
     mine_closed,
@@ -102,7 +101,6 @@ def test_mine_closed_toy(toy):
     assert mine_closed(toy, 1) == TOY_CLOSED
     assert mine_closed(toy, 5) == [((4,), 5)]
     assert mine_closed(toy, 0.75) == [((4,), 5)]
-    assert complete_closed_family(toy) == TOY_CLOSED
     with pytest.raises(ValueError):
         mine_closed(toy, 0)
 

@@ -14,10 +14,10 @@ from robustmine import (
     compare_keys,
     compare_polynomials,
     compare_sequences,
-    complete_closed_family,
     evaluate_poly,
     expand,
     margin_vector,
+    mine_closed,
     ndi_polynomial,
     order_key,
     rank,
@@ -25,6 +25,7 @@ from robustmine import (
     seq_diff,
     comparison_exact,
 )
+from robustmine.ordering import ClosedFamilyIndex
 
 TOY_CLOSED = [((0,), 3), ((4,), 5), ((1, 3, 4), 4), ((0, 1, 2, 3, 4), 2)]
 
@@ -176,7 +177,7 @@ def test_rank_breaks_ties_by_support_then_itemset(toy):
 
 
 def test_rank_closed_toy(toy):
-    fam = complete_closed_family(toy)
+    fam = mine_closed(toy, 1)
     assert fam == TOY_CLOSED
     got = [items for items, _ in rank(toy, [x for x, _ in fam], PredicateKind.CLOSED,
                                       closed_family=fam)]
@@ -198,13 +199,11 @@ def test_comparison_exact(toy):
     bde = order_key(toy, (1, 3, 4), PredicateKind.CLOSED, closed_family=TOY_CLOSED)
     assert comparison_exact(full, bde)
     # with a support-2 floor the deciding degree of the same pair is uncertain
-    full2 = order_key(toy, (0, 1, 2, 3, 4), PredicateKind.CLOSED,
-                      closed_family=TOY_CLOSED, closed_min_support=2)
-    bde2 = order_key(toy, (1, 3, 4), PredicateKind.CLOSED,
-                     closed_family=TOY_CLOSED, closed_min_support=2)
+    floor2 = ClosedFamilyIndex(TOY_CLOSED, min_support=2)
+    full2 = order_key(toy, (0, 1, 2, 3, 4), PredicateKind.CLOSED, closed_family=floor2)
+    bde2 = order_key(toy, (1, 3, 4), PredicateKind.CLOSED, closed_family=floor2)
     assert not comparison_exact(full2, bde2)
-    e2 = order_key(toy, (4,), PredicateKind.CLOSED,
-                   closed_family=TOY_CLOSED, closed_min_support=2)
+    e2 = order_key(toy, (4,), PredicateKind.CLOSED, closed_family=floor2)
     assert comparison_exact(e2, bde2)
 
 

@@ -9,9 +9,9 @@ from conftest import all_itemsets, random_db
 from robustmine import (
     PredicateKind,
     TransactionDatabase,
-    complete_closed_family,
     evaluate_predicate,
     exhaustive_robustness,
+    mine_closed,
     robustness,
     robustness_closed_exact,
     robustness_free,
@@ -79,7 +79,7 @@ def test_closed_robustness_for_non_closed_itemsets(toy):
 
 def test_empty_itemset_closed_with_full_column():
     db = TransactionDatabase([[0], [0, 1]])
-    fam = complete_closed_family(db)
+    fam = mine_closed(db, 1)
     # a full column keeps the empty itemset non-closed in every subsample
     assert robustness_closed_exact(db, (), 0.6, fam) == 0.0
 
@@ -131,7 +131,7 @@ def test_matches_exhaustive_on_random_data():
     # a light version of the main oracle comparison, for fast feedback
     for seed in (11, 12, 13):
         db = random_db(seed, 7, 4, 0.5)
-        fam = complete_closed_family(db)
+        fam = mine_closed(db, 1)
         for items in all_itemsets(4, 3):
             for kind in PredicateKind:
                 for alpha in (0.25, 0.75):

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_itemsets, databases, random_db, row_items
 from robustmine import (PredicateKind, TransactionDatabase, breakdown_vector, canon_items,
-                        cell_table, complete_closed_family, evaluate_predicate, expand,
-                        margin_vector, ndi_polynomial, one_zero_cells, order_key, robustness)
+                        cell_table, evaluate_predicate, expand, margin_vector,
+                        mine_closed, ndi_polynomial, one_zero_cells, order_key, robustness)
 from robustmine.oracle import definition
 from robustmine.predicates import SURVIVAL_CLASSES, classes_hold, survival_classes
 
@@ -87,7 +87,7 @@ def test_float_robustness_pinned_to_rationals(kind):
     # cancels; the absolute error still stays at rounding level
     for seed in (41, 42, 43):
         db = random_db(seed, 9, 5, 0.7)
-        family = complete_closed_family(db)
+        family = mine_closed(db, 1)
         for items in all_itemsets(5, 3):
             for alpha in (1e-3, 1e-2):
                 got = robustness(db, items, kind, alpha, closed_family=family)
