@@ -108,9 +108,7 @@ def _emit_records(args, command: str, params: dict, records, header: str, tsv_ro
 
 
 def _items_str(items, labels=None) -> str:
-    if labels:
-        return " ".join(labels.get(i, str(i)) for i in items)
-    return " ".join(str(i) for i in items)
+    return " ".join(labels.get(i, str(i)) if labels else str(i) for i in items)
 
 
 def cmd_mine(args) -> int:
@@ -198,8 +196,7 @@ def cmd_verify(args) -> int:
             # noise: use the spread of the add-one estimate (hits + 1) / (n + 2)
             p = (reference * args.samples + 1.0) / (args.samples + 2.0)
             tolerance = 5.0 * math.sqrt(p * (1.0 - p) / args.samples)
-        lines.append(f"monte-carlo\t{_fmt(reference)}")
-        lines.append(f"stderr\t{_fmt(stderr)}")
+        lines += [f"monte-carlo\t{_fmt(reference)}", f"stderr\t{_fmt(stderr)}"]
     diff = abs(analytic - reference)
     ok = diff <= tolerance
     lines.append(f"difference\t{_fmt(diff)}")

@@ -8,6 +8,7 @@ sub-database shares its parent's tidsets under a keep-mask of positions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -115,11 +116,10 @@ class TransactionDatabase:
 
     @cached_property
     def _row_items(self) -> tuple[tuple[int, ...], ...]:
-        slot = {p: j for j, p in enumerate(self._positions)}
-        out = [[] for _ in slot]
+        out = [[] for _ in range(self._len)]
         for i in sorted(self._cols):
-            for p in _ones(self._cols[i] & self._keep):
-                out[slot[p]].append(i)
+            for j in self.indices(self._cols[i] & self._keep):
+                out[j].append(i)
         return tuple(map(tuple, out))
 
     @cached_property
@@ -183,6 +183,11 @@ class TransactionDatabase:
         for i in absent:
             t &= ~cols.get(self._item(i), 0)
         return t
+
+    def indices(self, bits: int) -> list[int]:
+        """Transaction indices, ascending, of the set bits of a tidset of this database."""
+        ones, keep = _ones(bits), self._keep
+        return [bisect_left(self._positions, p) for p in ones] if keep & (keep + 1) else ones
 
     def columns(self):
         """(item, tidset) pairs of the shared columns, one per item present."""
@@ -269,8 +274,7 @@ class CellTable:
     __slots__ = ("items", "cells")
 
     def __init__(self, items: tuple[int, ...], cells: Sequence[int]):
-        self.items = items
-        self.cells = tuple(cells)
+        self.items, self.cells = items, tuple(cells)
 
     @property
     def counts(self) -> dict[tuple[int, ...], int]:

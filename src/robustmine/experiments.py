@@ -26,9 +26,7 @@ class SweepResult:
     counts: dict  # (alpha, rho) -> number of mined itemsets
 
     def rows(self):
-        for a in self.alphas:
-            for r in self.rhos:
-                yield a, r, self.counts[(a, r)]
+        return ((a, r, self.counts[(a, r)]) for a in self.alphas for r in self.rhos)
 
 
 def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
@@ -83,22 +81,14 @@ def compliance(original_order, noisy_order) -> list[float]:
     """
     original = [canon_items(x) for x in original_order]
     noisy_pos = {canon_items(x): j for j, x in enumerate(noisy_order, start=1)}
-    out = []
-    for i, x in enumerate(original, start=1):
-        j = noisy_pos.get(x)
-        out.append(0.0 if j is None else 1.0 / (abs(i - j) + 1))
-    return out
+    return [0.0 if (j := noisy_pos.get(x)) is None else 1.0 / (abs(i - j) + 1)
+            for i, x in enumerate(original, start=1)]
 
 
 def _as_buckets(ranking) -> list[list[tuple[int, ...]]]:
-    buckets = []
-    for entry in ranking:
-        entry = list(entry)
-        if all(isinstance(e, int) for e in entry):
-            buckets.append([canon_items(entry)])  # a bare itemset
-        else:
-            buckets.append(sorted(canon_items(x) for x in entry))
-    return buckets
+    # a bare itemset is a bucket of its own
+    return [[canon_items(entry)] if all(isinstance(e, int) for e in entry)
+            else sorted(map(canon_items, entry)) for entry in map(list, ranking)]
 
 
 def rank_distance(bucketed, other) -> float:
@@ -110,8 +100,7 @@ def rank_distance(bucketed, other) -> float:
     are excluded from the pair budget
     b = N(N-1)/2 - sum B(B-1)/2 over its buckets. Returns 100 * discordant / b.
     """
-    b1 = _as_buckets(bucketed)
-    b2 = _as_buckets(other)
+    b1, b2 = _as_buckets(bucketed), _as_buckets(other)
     pos1 = {x: i for i, bucket in enumerate(b1) for x in bucket}
     pos2 = {x: i for i, bucket in enumerate(b2) for x in bucket}
     if len(pos1) != sum(len(b) for b in b1) or len(pos2) != sum(len(b) for b in b2):

@@ -76,9 +76,7 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
             return None
         classes = survival_classes(db, items, kind)
         r = survival(classes, alpha)
-        if r < rho:
-            return None
-        return items, s, r, classes
+        return (items, s, r, classes) if r >= rho else None
 
     if config.include_empty and (empty := keep(())):
         yield empty

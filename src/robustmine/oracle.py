@@ -8,8 +8,9 @@ A predicate depends only on which transaction patterns survive. For free,
 non-derivable and totally shattered itemsets a pattern is a transaction's
 projection onto X; for closed it is the full row of a transaction that
 contains X, and the rows without X form one group the predicate never
-reads. The patterns are read from `row_items`, which the database derives
-from its tidsets, and the definition is built over one row per pattern.
+reads. The projections are the parts of the transactions split by X's
+tidsets, and the full rows are read from `row_items`, which the database
+derives from its tidsets; the definition is built over one row per pattern.
 
 The exhaustive path tests all 2**P bitsets of the P patterns and counts
 the transaction subsets behind each exactly: a pattern of multiplicity m
@@ -102,20 +103,21 @@ def definition(rows: Sequence[Sequence[int]], items: tuple[int, ...], n_items: i
 def _patterns(db: TransactionDatabase, items: tuple[int, ...],
               kind: PredicateKind) -> tuple[dict[tuple[int, ...], list[int]], int]:
     """(the transaction indices of each distinct pattern, keyed by the
-    pattern, in order of first occurrence; the number of transactions the
-    predicate ignores)."""
-    db.tidset(items)  # an id outside the universe is an error
-    xs = set(items)
-    closed = kind is PredicateKind.CLOSED
+    pattern; the number of transactions the predicate ignores). For closed
+    the rows that hold X are read in order; otherwise the transactions are
+    split by X's columns in turn, keeping the nonempty parts."""
+    if kind is not PredicateKind.CLOSED:
+        parts = {(): db.tidset(())}
+        for x in items:
+            col = db.tidset((x,))
+            parts = {p: t for q, u in parts.items()
+                     for p, t in ((q, u & ~col), (q + (x,), u & col)) if t}
+        return {p: db.indices(t) for p, t in parts.items() if t}, 0
+    held = db.indices(db.tidset(items))  # an id outside the universe is an error
     groups: dict[tuple[int, ...], list[int]] = {}
-    ignored = 0
-    for j in range(len(db)):
-        row = db.row_items(j)
-        if closed and not xs.issubset(row):
-            ignored += 1
-        else:
-            groups.setdefault(row if closed else tuple(filter(xs.__contains__, row)), []).append(j)
-    return groups, ignored
+    for j in held:
+        groups.setdefault(db.row_items(j), []).append(j)
+    return groups, len(db) - len(held)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -171,9 +173,8 @@ def breakdown_vector(db: TransactionDatabase, items, kind: PredicateKind) -> tup
     Lexicographically larger vectors mean strictly less robust;
     1 - r(alpha) = sum c[k] (1-alpha)**k alpha**(|D|-k).
     """
-    items = canon_items(items)
     n = len(db)
-    counts = _satisfied_by_size(db, items, kind)
+    counts = _satisfied_by_size(db, canon_items(items), kind)
     return tuple(math.comb(n, n - k) - counts[n - k] for k in range(n + 1))
 
 
@@ -223,5 +224,4 @@ def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
                 seen[pattern_bits] = holds(pattern_bits)
             hits += repeat * seen[pattern_bits]
     est = hits / n_samples
-    stderr = math.sqrt(est * (1.0 - est) / n_samples)
-    return est, stderr
+    return est, math.sqrt(est * (1.0 - est) / n_samples)

@@ -5,7 +5,7 @@ beta = 1 - alpha with integer coefficients. Two itemsets are compared by the
 first coefficient where those polynomials differ; for the free and
 totally-shattered properties the comparison collapses to an ordering of
 sorted cell-count sequences (margin vectors) that never expands a polynomial,
-and non-derivability keys expand only as far as their first difference.
+and non-derivability keys include only the cells below their first difference.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, zip_longest
-from operator import ne
+from functools import cached_property, reduce
+from itertools import chain, repeat, zip_longest
 
 from .dataset import TransactionDatabase, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
@@ -86,24 +86,30 @@ def alpha_bound(x_items, y_items, d, kind: PredicateKind) -> float:
 
 def expand(cells: Sequence[int], max_degree: int) -> list[int]:
     """Integer coefficients of prod(1 - beta**s for s in cells), degrees
-    0..max_degree: the dense form of the sparse expansion ndi keys use."""
-    terms = _expand_terms(cells, max_degree)
-    return [terms.get(k, 0) for k in range(max_degree + 1)]
-
-
-def _expand_terms(cells: Sequence[int], max_degree: int, start=None) -> dict[int, int]:
-    """{degree: coefficient} of start (1 by default) times prod(1 - beta**s for s
-    in cells) up to max_degree, exactly. Each factor shifts only the terms so
-    far: the work grows with the terms (<= 2**len(cells)), not max_degree."""
-    terms = dict(start or {0: 1})
-    for s in sorted(cells):
+    0..max_degree: packed as NdiPolynomial packs it, and decoded once."""
+    cells = sorted(cells)
+    width, packed = len(cells) + 4, 1
+    for s in cells:
         if s < 0:
             raise ValueError(f"negative cell count {s}")
         if s > max_degree:
             break
-        for k, c in list(terms.items()):
-            if c and k + s <= max_degree:
-                terms[k + s] = terms.get(k + s, 0) - c
+        packed -= packed << s * width
+    return list(map(_terms(packed, width, max_degree + 1).get, range(max_degree + 1), repeat(0)))
+
+
+def _terms(packed: int, width: int, n: int) -> dict[int, int]:
+    """Nonzero coefficients of degrees 0..n-1 of a packed polynomial, ascending: with
+    2**(width-1) added, every digit is non-negative, and XOR that bias flags the nonzero."""
+    half, bits = 1 << width - 1, n * width
+    bias = half * (((1 << bits) - 1) // ((1 << width) - 1))
+    biased = (packed + bias) & ((1 << bits) - 1)
+    flags, text = format(biased ^ bias, "b")[::-1], format(biased, "b")[::-1]  # char p: bit p
+    terms, p = {}, flags.find("1")
+    while p >= 0:
+        k = p // width
+        terms[k] = int(text[k * width:(k + 1) * width][::-1], 2) - half
+        p = flags.find("1", (k + 1) * width)
     return terms
 
 
@@ -111,10 +117,7 @@ def evaluate_poly(coeffs, beta: float) -> float:
     """Evaluate a dense list or sparse {degree: coeff} polynomial at beta."""
     if isinstance(coeffs, dict):
         return float(sum(c * beta ** k for k, c in sorted(coeffs.items())))
-    acc = 0.0
-    for c in reversed(list(coeffs)):
-        acc = acc * beta + c
-    return acc
+    return reduce(lambda acc, c: acc * beta + c, reversed(list(coeffs)), 0.0)
 
 
 def ndi_polynomial(db: TransactionDatabase, items) -> list[int]:
@@ -124,60 +127,75 @@ def ndi_polynomial(db: TransactionDatabase, items) -> list[int]:
 
 
 class NdiPolynomial:
-    """The non-derivability robustness r = 1 - (1 - o(A))(1 - o(B)) as an exact,
-    lazily expanded integer polynomial in beta = 1 - alpha of degree at most
-    `degree` (|D|). A and B are the parity classes, whose disjoint cells fail
-    independently, and o(C) = prod(1 - beta**s) over a class's cell counts.
+    """The non-derivability robustness r = o(A) + o(B) - o(A u B), an exact
+    integer polynomial in beta = 1 - alpha of degree at most `degree` (|D|,
+    the cells' sum at most), over the parity classes A and B, whose disjoint
+    cells fail independently; o(C) = prod(1 - beta**s) over C's cells. r is 1
+    at degree 0, 0 up to lo - 1 for lo = min(A) + min(B), and negative at lo
+    (r = 0 at lo = 0; an empty class never fails: r = 1, lo is infinite).
 
-    1 - o(C) starts at degree min(C) with a positive coefficient, so r is 1 at
-    degree 0, 0 at degrees 1..lo-1 for lo = min(A) + min(B), and negative at
-    lo. At lo = 0 both classes hold an empty cell and r = 0; a class with no
-    cells never fails, so r = 1 and lo lies past the degree. Only the degrees
-    lo..d are expanded, d being the highest a comparison has needed.
-    """
+    Products are packed integers (Kronecker substitution): coefficient k is
+    the signed digit at bits k*width, width = cells + 4, as n factors'
+    coefficients sum to at most 2**n in magnitude. Cells are included in
+    ascending order as comparisons need, `v -= v << s*width` on a class's
+    product and A u B's, per width in `states`: width -> [cells included,
+    o(A), o(B), o(A u B), r]. r is exact below the smallest cell left out
+    (its horizon), everywhere with none."""
 
     def __init__(self, classes: tuple[Sequence[int], Sequence[int]], degree: int):
-        self.classes, self.degree, self._window = classes, degree, []
         a, b = classes
-        self.lo = min(a) + min(b) if len(a) and len(b) else degree + 1
+        self.classes, self.degree, self.states = classes, degree, {}
+        self.lo = min(a) + min(b) if len(a) and len(b) else math.inf
 
-    def window(self, d: int) -> list[int]:
-        """Exact coefficients of degrees lo, lo + 1, ..., at least up to d."""
-        lo = self.lo
-        if lo + len(self._window) <= d:
-            a, b = self.classes
-            p = {k: -c for k, c in _expand_terms(a, d).items()}
-            p[0] += 1  # P = 1 - o(A), and r = 1 - P + P o(B), truncated at d
-            r = _expand_terms(b, d, p)
-            r[0] += 1
-            self._window = [0] * (d - lo + 1)
-            for k, c in r.items():
-                if k >= lo:
-                    self._window[k - lo] = c - p.get(k, 0)
-        return self._window
+    @cached_property
+    def cells(self) -> list[int]:
+        """Each cell as one int, count << 1 | class (A 0, B 1), ascending; checked on first use."""
+        (a, b), degree = self.classes, self.degree
+        if min(chain(a, b), default=0) < 0 or sum(a) + sum(b) > degree:
+            raise ValueError(f"cell counts must be non-negative and sum to at most {degree}")
+        return sorted([s << 1 for s in a] + [s << 1 | 1 for s in b])
+
+    def include(self, width: int, upto) -> tuple[int, float]:
+        """Include the cells of count <= upto at width; return r there and its horizon."""
+        state = self.states.setdefault(width, [0, 1, 1, 1, 1])
+        (n, *o, _), cells = state, self.cells
+        while n < len(cells) and cells[n] >> 1 <= upto:
+            s, side = cells[n] >> 1, cells[n] & 1
+            o[side] -= o[side] << s * width
+            o[2] -= o[2] << s * width
+            n += 1
+        if n > state[0]:  # a complete state keeps r alone
+            state[:] = n, *(o if n < len(cells) else (0, 0, 0)), o[0] + o[1] - o[2]
+        return state[4], (cells[n] >> 1) - 1 if n < len(cells) else math.inf
+
+    def terms(self) -> dict[int, int]:
+        """The nonzero coefficients, in ascending degree order."""
+        width = len(self.cells) + 4
+        return _terms(self.include(width, math.inf)[0], width, self.degree + 1)
 
     def dense(self) -> list[int]:
         """Every coefficient, degrees 0..degree."""
-        lo, n = self.lo, self.degree
-        return ([1] + [0] * (min(lo, n + 1) - 1) if lo else []) + self.window(n)[:n - lo + 1]
+        return list(map(self.terms().get, range(self.degree + 1), repeat(0)))
 
     def compare(self, other: "NdiPolynomial") -> int:
-        """First-differing-coefficient order, exact. The lower lo is less robust:
-        its coefficient there is negative (or r = 0) where the other's is 0 (or
-        1). On equal lo the windows are compared up to lo + 1, then twice as far
-        above lo on each tie; equal windows up to the degree prove equality."""
+        """First-differing-coefficient order, exact. The lower lo is less robust
+        (its r there is negative, or 0, against 0, or 1). Else both include their
+        cells up to lo at the wider width; the lowest set bit of x - y names the
+        first differing digit, whose sign bit decides within both horizons, else
+        the cells one past the smaller horizon are included. Equal in full: EQUAL."""
         if self.lo != other.lo:
             return LESS if self.lo < other.lo else GREATER
-        top, width = max(self.degree, other.degree), 1
+        width, upto = max(len(self.cells), len(other.cells)) + 4, self.lo
         while True:
-            d = min(self.lo + width, top)
-            x, y = self.window(d), other.window(d)  # each exact as far as it reaches
-            k = next(compress(count(), map(ne, x, y)), None)
-            if k is not None:
-                return LESS if x[k] < y[k] else GREATER
-            if d >= top:
+            (x, hx), (y, hy) = self.include(width, upto), other.include(width, upto)
+            z, horizon = x - y, min(hx, hy)
+            if z:
+                k = ((z & -z).bit_length() - 1) // width
+                if k <= horizon:
+                    return LESS if z >> (k * width + width - 1) & 1 else GREATER
+            elif horizon == math.inf:
                 return EQUAL
-            width *= 2
+            upto = horizon + 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NdiPolynomial) and self.compare(other) == EQUAL
@@ -186,9 +204,7 @@ class NdiPolynomial:
 def key_payload(classes, dlen: int):
     """Ranking payload from survival classes: one class gives its sorted margin
     vector, the two ndi classes their lazy NdiPolynomial."""
-    if len(classes) == 1:
-        return tuple(sorted(classes[0]))
-    return NdiPolynomial(classes, dlen)
+    return tuple(sorted(classes[0])) if len(classes) == 1 else NdiPolynomial(classes, dlen)
 
 
 @dataclass(frozen=True)
@@ -197,8 +213,8 @@ class ClosedCoefficients:
 
     coeffs maps degree k -> integer coefficient, kept as its nonzero terms in
     ascending degree order; contributions, built when read from the walk kept
-    (the index, X's superset positions, their multipliers mu and that of an
-    inserted empty itemset), maps each participating closed superset to its
+    (the index, X's superset positions, their multipliers mu, that of an
+    inserted empty itemset and X), maps each participating closed superset to its
     multiplier. A coefficient is exact when every superset at its support level
     was mined: supp - k >= min_support, the index's, or that is 1 (support-0
     closed itemsets other than the always-added full itemset do not exist).
@@ -211,10 +227,10 @@ class ClosedCoefficients:
     positions: tuple[int, ...] = field(default=(), compare=False, repr=False)
     mu: tuple[int, ...] = field(default=(), compare=False, repr=False)
     empty: int = field(default=0, compare=False, repr=False)
+    items: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        terms = sorted(self.coeffs.items())
-        object.__setattr__(self, "coeffs", {k: c for k, c in terms if c != 0})
+        object.__setattr__(self, "coeffs", {k: c for k, c in sorted(self.coeffs.items()) if c})
 
     @property
     def contributions(self) -> dict:
@@ -268,8 +284,7 @@ class ClosedFamilyIndex:
     def __init__(self, family, n_items: int | None = None, cover=(), min_support: int = 1):
         fam = {}
         for f_items, f_supp in family:
-            fi = canon_items(f_items)
-            f_supp = int(f_supp)
+            fi, f_supp = canon_items(f_items), int(f_supp)
             if fi in fam and fam[fi] != f_supp:
                 raise ValueError(f"family lists {fi} twice with different supports")
             fam[fi] = f_supp
@@ -384,7 +399,7 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
     if base + len(es) >= 2 and base + sum(es) != 0:
         raise ArithmeticError("closed-family multipliers must cancel")
     return ClosedCoefficients(coeffs, supp_x, family.min_support, family, positions,
-                              tuple(es), base)
+                              tuple(es), base, x)
 
 
 def compare_polynomials(p, q) -> int:
@@ -410,7 +425,7 @@ def _as_sparse(p) -> dict:
     if isinstance(p, ClosedCoefficients):
         return p.coeffs
     if isinstance(p, NdiPolynomial):
-        p = p.dense()
+        return p.terms()
     terms = sorted(p.items()) if isinstance(p, dict) else enumerate(p)
     return {k: c for k, c in terms if c != 0}
 
@@ -428,11 +443,8 @@ class OrderKey:
     def describe(self) -> str:
         """Stable, human-readable key descriptor."""
         if isinstance(self.payload, tuple):  # a margin vector
-            return ",".join(str(c) for c in self.payload)
-        sparse = _as_sparse(self.payload)
-        if not sparse:
-            return "0"
-        return ",".join(f"{k}:{c}" for k, c in sorted(sparse.items()))
+            return ",".join(map(str, self.payload))
+        return ",".join(f"{k}:{c}" for k, c in _as_sparse(self.payload).items()) or "0"
 
     def __lt__(self, other: "OrderKey") -> bool:
         """Ranking order: a key sorts first when it is more robust near
@@ -445,7 +457,7 @@ class OrderKey:
 
 def compare_keys(a: OrderKey, b: OrderKey) -> int:
     """LESS means a is less robust than b near alpha = 1 (ties not broken).
-    ndi keys expand no further than their first difference (in full only
+    ndi keys include no cell above their first difference (all of them only
     when equal), through NdiPolynomial.compare."""
     if a.kind is not b.kind:
         raise ValueError("keys of different kinds are not comparable")
@@ -460,14 +472,15 @@ def order_key(db: TransactionDatabase, items, kind: PredicateKind,
               closed_family=None) -> OrderKey:
     """Build the ranking key for one itemset; closed_family may be a
     ClosedFamilyIndex, whose min_support the closed key takes."""
-    items = canon_items(items)
-    supp = support(db, items)
     if kind is not PredicateKind.CLOSED:
+        supp = support(db, items := canon_items(items))
         payload = key_payload(survival_classes(db, items, kind), len(db))
     elif closed_family is None:
         raise ValueError("ranking closed itemsets requires a closed family")
-    else:
+    else:  # closed_coefficients canonicalises the itemset, once
+        supp = support(db, items := tuple(items))
         payload = closed_coefficients(items, closed_family, supp, n_items=db.n_items)
+        items = payload.items
     return OrderKey(kind, payload, supp, items)
 
 

@@ -37,8 +37,7 @@ def survival_probability(cells: Sequence[int], alpha: float) -> float:
     Each factor is 1 - (1-alpha)**count; an empty cell contributes 0
     ((1-alpha)**0 == 1 even at alpha = 1), an empty list gives 1.
     """
-    alpha = check_probability(alpha)
-    beta = 1.0 - alpha
+    beta = 1.0 - check_probability(alpha)
     prod = 1.0
     for c in sorted(cells, reverse=True):
         if c < 0:

@@ -23,7 +23,8 @@ EXPORTS = [
 ]
 
 DATABASE_ATTRIBUTES = [
-    "columns", "holding", "n_items", "row_items", "subset", "subset_mask", "tids", "tidset",
+    "columns", "holding", "indices", "n_items", "row_items", "subset", "subset_mask", "tids",
+    "tidset",
 ]
 
 CELL_TABLE_ATTRIBUTES = ["cells", "counts", "items", "parity_split", "total"]

@@ -1,7 +1,9 @@
 """Lazy, exact ndi keys: compare_keys agrees with the first differing
-coefficient of the full polynomials, only exact ties are expanded in full, and
-printed keys (the full expansion) keep their text."""
+coefficient of the full polynomials, a cell is included only below the
+first difference of the pair compared, and printed keys (the full
+expansion) keep their text."""
 
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -14,7 +16,6 @@ from robustmine import (EQUAL, MiningConfig, PredicateKind, TransactionDatabase,
                         ndi_polynomial, order_key)
 from robustmine.cli import main
 from robustmine.ordering import NdiPolynomial
-from robustmine.predicates import survival_classes
 
 NDI = PredicateKind.NON_DERIVABLE
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,31 +86,52 @@ def test_keys_first_differing_far_above_lo():
     assert first == 700
     fresh = [order_key(db, it, NDI) for it in ((0, 1), (2, 3))]
     assert compare_keys(*fresh) != EQUAL
-    # both windows stopped short of the full degree
-    assert all(len(key.payload.window(0)) < 2000 - 400 for key in fresh)
+    # no cell above the first difference was included: 1000 and 800 are left out
+    included = [c >> 1 for key in fresh for state in key.payload.states.values()
+                for c in key.payload.cells[:state[0]]]
+    assert included and max(included) <= 700
 
 
-def test_only_exact_ties_are_expanded_in_full(monkeypatch):
+def test_cells_are_included_only_below_a_first_difference(monkeypatch):
+    """In W1's ndi mine a cell c is included only in a comparison whose two
+    full polynomials agree on every degree below c, and only exact ties
+    compare EQUAL."""
     db = random_db(1, 5000, 30, 0.15)
-    full = []
-    window = NdiPolynomial.window
+    compare, include = NdiPolynomial.compare, NdiPolynomial.include
+    pairs, included, outcomes = [], [], []
 
-    def traced(self, d):
-        if d >= self.degree:
-            full.append(self)
-        return window(self, d)
+    def traced_compare(self, other):
+        pairs.append((self, other))
+        outcome = compare(self, other)
+        outcomes.append(pairs.pop() + (outcome,))
+        return outcome
 
-    monkeypatch.setattr(NdiPolynomial, "window", traced)
+    def traced_include(self, width, upto):
+        before = self.states.get(width, [0])[0]
+        out = include(self, width, upto)
+        cells = [c >> 1 for c in self.cells[before:self.states[width][0]]]
+        if cells:
+            included.append((pairs[-1], cells))
+        return out
+
+    monkeypatch.setattr(NdiPolynomial, "compare", traced_compare)
+    monkeypatch.setattr(NdiPolynomial, "include", traced_include)
     mined = mine_robust(db, MiningConfig(NDI, alpha=0.5, rho=0.1, min_support=50))
     monkeypatch.undo()
     assert len(mined) == 465
-    polys = {}
-    for m in mined:
-        polys.setdefault(tuple(sparse(ndi_polynomial(db, m.items)).items()), []).append(m.items)
-    tied = {multisets(survival_classes(db, items, NDI))
-            for group in polys.values() if len(group) > 1 for items in group}
-    expanded = {multisets(p.classes) for p in full}
-    assert expanded and expanded <= tied
+    dense = {}
+
+    def first_difference(pair):
+        x, y = (dense.setdefault(id(p), p.dense()) for p in pair)
+        return next((k for k, (a, b) in enumerate(zip(x, y)) if a != b), math.inf)
+
+    assert included
+    for pair, cells in included:
+        assert max(cells) <= first_difference(pair), (pair[0].classes, pair[1].classes)
+    # some comparisons include cells past lo, one horizon at a time
+    assert any(max(cells) > pair[0].lo for pair, cells in included)
+    ties = [(x, y) for x, y, outcome in outcomes if outcome == EQUAL]
+    assert ties and all(first_difference(pair) == math.inf for pair in ties)
 
 
 def seeded_2000_row_file(path):
