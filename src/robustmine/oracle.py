@@ -17,22 +17,28 @@ the transaction subsets behind each exactly: a pattern of multiplicity m
 survives in (1+x)**m - 1 ways by size. The count polynomial is one Python
 integer, evaluated at x = 2**(|D|+1), whose base-x digits are the counts by
 size. The Monte-Carlo path samples Bernoulli keep-masks from a
-counter-based generator, for databases too large to enumerate, in blocks of
-about MC_BLOCK draws so that memory does not grow with |D|, and tests each
-distinct bitset of surviving patterns once.
+counter-based generator, for databases too large to enumerate. It splits the
+samples into one contiguous share per CPU, each of which jumps to its first
+word, so the words and the estimate do not depend on the number of CPUs. A
+share draws blocks of about MC_BLOCK / shares words, so that memory does not
+grow with |D| or the sample count, and counts the distinct codes of
+surviving patterns in each block; each distinct code is tested once.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import lru_cache
+from threading import Thread
 
 from .dataset import CELL_WIDTH_LIMIT, CapacityError, TransactionDatabase, canon_items
 from .predicates import PredicateKind
 
 EXHAUSTIVE_LIMIT = 24  # 2**24 subsets; beyond this, use monte_carlo_robustness
-MC_BLOCK = 1 << 17  # Philox words drawn per block (1 MB), at least one keep-mask
+MC_BLOCK = 1 << 17  # Philox words (1 MB) in flight over all shares, at least one keep-mask
 
 
 def _superset_sums(values: list[int]) -> list[int]:
@@ -178,50 +184,119 @@ def breakdown_vector(db: TransactionDatabase, items, kind: PredicateKind) -> tup
     return tuple(math.comb(n, n - k) - counts[n - k] for k in range(n + 1))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _philox_at(seed: int, word: int):
+    """Philox(seed) at word `word` of its raw stream: one counter gives four
+    64-bit words, so it advances word // 4 counters and drops word % 4 words."""
+    import numpy as np
+
+    philox = np.random.Philox(seed).advance(word // 4)
+    philox.random_raw(word % 4)
+    return philox
+
+
+def _kept_pattern_counts(groups: dict[tuple[int, ...], list[int]], n: int, threshold: int,
+                         n_samples: int, seed: int) -> Counter[int]:
+    """How many of the n_samples keep-masks over n transactions keep each set
+    of patterns, keyed by its code: bit p keeps the p-th group. Sample i keeps
+    transaction j when word i*n + j of Philox(seed) is below threshold << 11,
+    for 0 < threshold < 2**53.
+
+    The samples are split into contiguous shares, one per CPU and at most one
+    per block of about MC_BLOCK words. Each share jumps to its first word, so
+    the words are the same for any number of shares. The calling thread draws
+    the first share and one thread each the others; the draw releases the
+    GIL. A share draws blocks of about MC_BLOCK / shares words. A block packs
+    each sample's code into 64-bit lanes and counts the distinct codes after
+    one lexsort, so memory follows the block, not n or n_samples.
+    """
+    import numpy as np
+
+    columns = np.array([j for g in groups.values() for j in g], dtype=np.intp)  # grouped by pattern
+    starts = np.cumsum([0] + [len(g) for g in groups.values()])[:-1]
+    bound = np.uint64(threshold << 11)
+    width = (len(groups) + 63) // 64 * 8  # bytes of a code
+
+    shares = min(_cpus(), -(-n_samples // max(1, MC_BLOCK // n)))
+    rows = max(1, MC_BLOCK // shares // n)  # keep-masks per block
+    firsts = [j * n_samples // shares for j in range(shares + 1)]
+    tallies: list = [None] * shares
+
+    def tally(first: int, stop: int) -> Counter[int]:  # samples first..stop-1
+        philox = _philox_at(seed, first * n)
+        counts: Counter[int] = Counter()
+        for done in range(first, stop, rows):
+            block = min(rows, stop - done)
+            keep = (philox.random_raw(block * n) < bound).reshape(block, n)
+            # a sample keeps pattern p when it keeps one of p's transactions
+            kept = np.logical_or.reduceat(keep[:, columns], starts, axis=1)
+            codes = np.zeros((block, width), np.uint8)
+            codes[:, :(len(groups) + 7) // 8] = np.packbits(kept, axis=1, bitorder="little")
+            lanes = codes.view("<u8")
+            lanes = lanes[np.lexsort(lanes.T)]
+            edges = np.flatnonzero((lanes[1:] != lanes[:-1]).any(axis=1)) + 1
+            for row, repeat in zip([0, *edges.tolist()],
+                                   np.diff(edges, prepend=0, append=block).tolist()):
+                # little-endian: bit p of the int keeps pattern p
+                counts[int.from_bytes(lanes[row].tobytes(), "little")] += repeat
+        return counts
+
+    def helper(j: int) -> None:
+        try:
+            tallies[j] = tally(firsts[j], firsts[j + 1])
+        except Exception as exc:  # raised again in the calling thread
+            tallies[j] = exc
+
+    helpers = [Thread(target=helper, args=(j,)) for j in range(1, shares)]
+    for thread in helpers:
+        thread.start()
+    try:
+        tallies[0] = tally(firsts[0], firsts[1])
+    finally:
+        for thread in helpers:
+            thread.join()
+    merged: Counter[int] = Counter()
+    for counts in tallies:
+        if isinstance(counts, Exception):
+            raise counts
+        merged.update(counts)
+    return merged
+
+
 def monte_carlo_robustness(db: TransactionDatabase, items, kind: PredicateKind,
                            alpha: float, n_samples: int, seed: int) -> tuple[float, float]:
     """Estimate robustness from seeded Bernoulli(alpha) subsamples.
 
     Returns (estimate, stderr) with the binomial standard error
     sqrt(p(1-p)/n). The Philox stream makes runs reproducible across
-    platforms. It is drawn as raw 64-bit words, max(1, MC_BLOCK // |D|)
-    keep-masks at a time, which yields the same words as one draw. A
-    transaction is kept when word >> 11 < ceil(alpha * 2**53), which is
-    Generator.random() < alpha bit for bit: random() is (word >> 11) * 2**-53
-    and alpha * 2**53 is exact. Samples that keep the same patterns share one
+    platforms: sample i keeps transaction j by raw word i*|D| + j, whatever
+    the number of CPUs. A transaction is kept when word < ceil(alpha * 2**53)
+    << 11, which is Generator.random() < alpha bit for bit: random() is
+    (word >> 11) * 2**-53 and alpha * 2**53 is exact. At alpha 0 or 1, or
+    with no pattern, every sample keeps the same patterns and nothing is
+    drawn. Otherwise the words are drawn in shares per CPU and blocks
+    (_kept_pattern_counts), and samples that keep the same patterns share one
     test of the definition.
     """
-    import numpy as np
-
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     items = canon_items(items)
-    n = len(db)
     groups, _ = _patterns(db, items, kind)
     holds = definition(list(groups), items, db.n_items, kind)
-    columns = np.array([j for g in groups.values() for j in g], dtype=np.intp)  # grouped by pattern
-    starts = np.cumsum([0] + [len(g) for g in groups.values()])[:-1]
-    philox = np.random.Philox(seed)
-    threshold = np.uint64(math.ceil(alpha * 2.0 ** 53))
-    rows = max(1, MC_BLOCK // max(n, 1))
-    seen: dict[int, bool] = {}
-    hits = 0
-    for done in range(0, n_samples, rows):
-        block = min(rows, n_samples - done)
-        keep_masks = (philox.random_raw(block * n) >> np.uint64(11) < threshold).reshape(block, n)
-        # a sample keeps pattern p when it keeps one of p's transactions
-        kept = (np.logical_or.reduceat(keep_masks[:, columns], starts, axis=1) if groups
-                else keep_masks[:, :0])
-        packed, repeats = np.unique(np.packbits(kept, axis=1, bitorder="little"),
-                                    axis=0, return_counts=True)
-        for row, repeat in zip(packed, repeats.tolist()):
-            # little-endian: bit p of the int keeps pattern p
-            pattern_bits = int.from_bytes(row.tobytes(), "little")
-            if pattern_bits not in seen:
-                seen[pattern_bits] = holds(pattern_bits)
-            hits += repeat * seen[pattern_bits]
-    est = hits / n_samples
+    threshold = math.ceil(alpha * 2.0 ** 53)
+    if not groups or threshold in (0, 1 << 53):
+        est = float(holds((1 << len(groups)) - 1 if threshold else 0))
+    else:
+        counts = _kept_pattern_counts(groups, len(db), threshold, n_samples, seed)
+        est = sum(repeat for code, repeat in counts.items() if holds(code)) / n_samples
     return est, math.sqrt(est * (1.0 - est) / n_samples)
