@@ -7,7 +7,7 @@ serialization for the command line lives in the cli module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import compress, groupby
 from operator import itemgetter
 
@@ -35,17 +35,18 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
 
     The predicate family is independent of alpha, so it is walked once at
     alpha = 1, each member's survival classes are counted once, and the grid
-    only re-thresholds robustness values. Counts equal a literal mine_robust
-    run at every grid point.
+    only re-thresholds robustness values: sorted once per alpha, the count at
+    rho is the number of values >= rho, one bisection. Counts equal a literal
+    mine_robust run at every grid point.
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
     classes = [c for *_, c in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
     counts = {}
     for a in alphas:
-        values = [survival(c, a) for c in classes]
+        values = sorted(survival(c, a) for c in classes)
         for r in rhos:
-            counts[(a, r)] = sum(1 for v in values if v >= r)
+            counts[(a, r)] = len(values) - bisect_left(values, r)
     return SweepResult(kind, alphas, rhos, counts)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .dataset import TransactionDatabase, support
+from .dataset import TransactionDatabase
 from .ordering import ClosedFamilyIndex, OrderKey, key_payload, order_key
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 from .robustness import check_probability, survival
@@ -50,14 +50,22 @@ class MinedItemset:
 def levelwise(db: TransactionDatabase, config: MiningConfig):
     """The Apriori walk behind every non-closed miner. A candidate survives
     when its support reaches min_support, the predicate holds and its
-    robustness at alpha reaches rho, scored from one survival-class count.
-    Members are yielded as (items, support, robustness, classes), level by
-    level in lexicographic itemset order, the empty itemset first when
-    include_empty is set and it survives; the walk keeps only their
-    itemsets, for the join. Level 1 holds every id at min_support 0 (an
-    absent item can qualify there, but joins nothing: a superset of it has an
-    empty cell in every class) and only the items present otherwise. A
-    negative max_size is rejected."""
+    robustness at alpha reaches rho. Members are yielded as (items, support,
+    robustness, classes), level by level in lexicographic itemset order, the
+    empty itemset first when include_empty is set and it survives. Level 1
+    holds every id at min_support 0 (an absent item can qualify there, but
+    joins nothing: a superset of it has an empty cell in every class) and only
+    the items present otherwise. A negative max_size is rejected.
+
+    Each candidate is counted once, from the level above (Zaki's vertical
+    walk): every proper subset of it survived there. Its tidset is one AND of
+    its prefix parent's tidset with its last item's column, and is tested
+    against min_support first. A free candidate's cells are supp(X - x) -
+    supp(X), read from the supports of the level above; an ndi or ts
+    candidate counts its one cell table. evaluate_predicate then tests those
+    classes, and the robustness is scored from them. Only the supports and
+    tidsets of one level's survivors are kept, for the next level's join.
+    """
     kind = config.kind
     if kind is PredicateKind.CLOSED:
         raise ValueError("closedness is not downward closed; use mine_closed or top_k")
@@ -67,38 +75,51 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     max_size = config.max_size
     if max_size is not None and max_size < 0:
         raise ValueError(f"max size must be >= 0, got {max_size}")
+    cols = dict(db.columns())
 
-    def keep(items):
-        s = support(db, items)
-        # the reference test, not classes_hold on the classes below: perfbench's
-        # mining.predicate_yield counts evaluate_predicate calls under the miner
-        if s < tau or not evaluate_predicate(db, items, kind):
+    def keep(items, t, supports):
+        s = t.bit_count()
+        if s < tau:
             return None
-        classes = survival_classes(db, items, kind)
+        if kind is PredicateKind.FREE:  # each X - x survived one level up
+            classes = (tuple(supports[items[:j] + items[j + 1:]] - s
+                             for j in range(len(items))),)
+        else:
+            classes = survival_classes(db, items, kind)
+        if not evaluate_predicate(db, items, kind, classes):
+            return None
         r = survival(classes, alpha)
         return (items, s, r, classes) if r >= rho else None
 
-    if config.include_empty and (empty := keep(())):
+    # the level above: its survivors' supports (the free cells and the subset
+    # prune) and tidsets (each candidate's prefix parent); the empty itemset
+    # is level 1's one parent
+    supports, tidsets = {(): len(db)}, {(): db.tidset(())}
+    if config.include_empty and (empty := keep((), tidsets[()], supports)):
         yield empty
-    seeds = range(db.n_items) if tau < 1 else sorted(i for i, _ in db.columns())
+    seeds = range(db.n_items) if tau < 1 else sorted(cols)
     level = [(i,) for i in seeds]
     k = 1
     while level and (max_size is None or k <= max_size):
-        survivors = []
-        for member in filter(None, map(keep, level)):
+        survivors, survivor_tidsets = {}, {}
+        for items in level:
+            t = tidsets[items[:-1]] & cols.get(items[-1], 0)
+            member = keep(items, t, supports)
+            if member is None:
+                continue
             if k > 1 or member[1]:
-                survivors.append(member[0])
+                survivors[items], survivor_tidsets[items] = member[1], t
             yield member
+        supports, tidsets = survivors, survivor_tidsets
         # survivors keep the level's lexicographic order, so itemsets sharing
-        # all but their last item are adjacent
-        alive = set(survivors)
-        nxt = []
-        for _, group in groupby(survivors, key=lambda it: it[:-1]):
+        # all but their last item are adjacent and the candidates come out
+        # sorted; dropping either of a candidate's last two items gives a or b
+        level = []
+        for _, group in groupby(supports, key=lambda it: it[:-1]):
             for a, b in combinations(group, 2):
                 cand = a + (b[-1],)
-                if all(cand[:j] + cand[j + 1:] in alive for j in range(len(cand))):
-                    nxt.append(cand)
-        level = sorted(nxt)
+                if all(cand[:j] + cand[j + 1:] in supports for j in range(len(cand) - 2)):
+                    level.append(cand)
         k += 1
 
 

@@ -77,13 +77,18 @@ def derivability_bounds(db: TransactionDatabase, items) -> tuple[int, int]:
     return s - min(even), s + min(odd)
 
 
-def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind) -> bool:
+def evaluate_predicate(db: TransactionDatabase, items, kind: PredicateKind,
+                       classes=None) -> bool:
     """Exact truth of the predicate on the full database: closedness by its
     extensions, every other kind as classes_hold of its survival classes
-    below. The oracles check it against definitions of their own."""
+    below. classes, when given, are the itemset's survival classes as already
+    counted (the levelwise walk passes its own); they are tested in place of a
+    recount. The oracles check it against definitions of their own."""
     if kind is PredicateKind.CLOSED:
+        if classes is not None:
+            raise ValueError("closedness has no survival classes")
         return is_closed(db, items)
-    return classes_hold(survival_classes(db, items, kind))
+    return classes_hold(survival_classes(db, items, kind) if classes is None else classes)
 
 
 class SurvivalClasses(NamedTuple):

@@ -32,6 +32,22 @@ def test_sweep_matches_pointwise_mining(toy):
         assert count == len(direct), (a, r)
 
 
+def test_sweep_counts_values_equal_to_rho():
+    # a value equal to rho is counted (>=): at alpha 1 every member scores
+    # exactly 1.0 and at alpha 0 exactly 0.0
+    db = random_db(13, 25, 6, 0.5)
+    grid = (0.0, 0.5, 1.0)
+    for kind in (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED,
+                 PredicateKind.NON_DERIVABLE):
+        res = sweep(db, kind, grid, grid)
+        members = len(mine_robust(db, MiningConfig(kind, alpha=1.0)))
+        assert members and res.counts[(1.0, 1.0)] == members == res.counts[(0.0, 0.0)]
+        for a, r, count in res.rows():
+            values = [m.robustness for m in mine_robust(db, MiningConfig(kind, alpha=a))]
+            assert count == sum(1 for v in values if v >= r) == \
+                len(mine_robust(db, MiningConfig(kind, alpha=a, rho=r))), (kind, a, r)
+
+
 def test_sweep_grid_monotonicity(toy):
     alphas = tuple(i / 10 for i in range(1, 10))
     rhos = (0.0, 0.25, 0.5, 0.75)

@@ -1,21 +1,24 @@
-"""The one levelwise walk behind mine_robust, top_k and sweep: each emitted
-member's survival classes are counted once, keys order themselves, and level 1
-is seeded from the items present."""
+"""The one levelwise walk behind mine_robust, top_k and sweep: each candidate
+is counted once, from the level above, keys order themselves, and level 1 is
+seeded from the items present."""
 
 import random
 import time
 import tracemalloc
-from itertools import combinations
+from collections import deque
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 import robustmine.mining as mining
 import robustmine.predicates as predicates
-from conftest import random_db
-from robustmine import (MiningConfig, PredicateKind, compare_keys, is_free, mine_robust,
-                        order_key, parameter_free_order, parse_fimi, rank,
-                        robustness, robustness_bucket_order, sweep, top_k)
+from conftest import databases, random_db
+from robustmine import (MiningConfig, PredicateKind, TransactionDatabase, compare_keys, is_free,
+                        mine_robust, order_key, parameter_free_order, parse_fimi, rank,
+                        robustness, robustness_bucket_order, support, sweep, top_k)
 from robustmine.experiments import walk_orders
+from robustmine.predicates import survival_classes
 
 KINDS = (PredicateKind.FREE, PredicateKind.NON_DERIVABLE, PredicateKind.TOTALLY_SHATTERED)
 HUGE_IDS = "".join(f"{50_000_000 + 7 * i} {49_999_000 + i} 3\n" for i in range(50))
@@ -35,37 +38,81 @@ def _count_cells(monkeypatch, kind):
     return calls
 
 
+def _candidates(db, members, include_empty):
+    """What the walk must test, from its members alone: the empty itemset when
+    included, each item present, and each one-item extension of a member whose
+    every one-smaller subset is a member; those that reach min support 1."""
+    members = set(members)
+    out = {(i,) for i, _ in db.columns()} | ({()} if include_empty else set())
+    for y in filter(None, members):
+        for i in range(db.n_items):
+            x = tuple(sorted({*y, i}))
+            if len(x) > len(y) and all(x[:j] + x[j + 1:] in members for j in range(len(x))):
+                out.add(x)
+    return {x for x in out if support(db, x) >= 1}
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_each_member_is_counted_once(toy, monkeypatch, kind):
-    # the walk's filter, evaluate_predicate, reads the class table too: every
-    # count beyond the filter's is one member's scoring
+    # every candidate that reaches min support is tested once, by
+    # evaluate_predicate on the classes the walk counted: ndi and ts count one
+    # cell table per test and nothing more, free reads its cells from the
+    # supports of the level above and counts none
     calls = _count_cells(monkeypatch, kind)
-    tests = [0]
+    tested = []
     evaluate_predicate = mining.evaluate_predicate
 
-    def counting(*args):
-        tests[0] += 1
-        return evaluate_predicate(*args)
+    def counting(db, items, kind, classes=None):
+        assert classes is not None
+        tested.append(items)
+        return evaluate_predicate(db, items, kind, classes)
+
+    def counted(run, db, members, include_empty):
+        calls[0] = 0
+        tested.clear()
+        out = run()
+        assert sorted(tested) == sorted(_candidates(db, members, include_empty))
+        assert calls[0] == (0 if kind is PredicateKind.FREE else len(tested))
+        return out
 
     monkeypatch.setattr(mining, "evaluate_predicate", counting)
     for db in (toy, random_db(7, 40, 6, 0.5)):
-        calls[0] = tests[0] = 0
         mined = mine_robust(db, MiningConfig(kind, alpha=0.5, include_empty=True))
-        assert mined and calls[0] - tests[0] == len(mined)
+        members = [m.items for m in mined]
+        assert mined and counted(lambda: mine_robust(
+            db, MiningConfig(kind, alpha=0.5, include_empty=True)), db, members, True) == mined
 
-        calls[0] = tests[0] = 0
-        ranked = top_k(db, kind, 1 << 30)
-        assert calls[0] - tests[0] == len(ranked) == len(mined)
+        ranked = counted(lambda: top_k(db, kind, 1 << 30), db, members, True)
+        assert len(ranked) == len(mined)
 
-        calls[0] = tests[0] = 0
-        res = sweep(db, kind, (0.3, 0.8), (0.0, 0.5))
-        assert calls[0] - tests[0] == res.counts[(0.3, 0.0)] == len(mined) - 1  # no empty itemset
+        res = counted(lambda: sweep(db, kind, (0.3, 0.8), (0.0, 0.5)), db, members, False)
+        assert res.counts[(0.3, 0.0)] == len(mined) - 1  # no empty itemset
 
-        calls[0] = tests[0] = 0
-        buckets, order = walk_orders(db, kind, 0.5, include_empty=True)
-        assert calls[0] - tests[0] == len(order) == len(mined)
+        buckets, order = counted(lambda: walk_orders(db, kind, 0.5, include_empty=True),
+                                 db, members, True)
+        assert len(order) == len(mined)
         assert buckets == robustness_bucket_order(db, order, kind, 0.5)
         assert order == parameter_free_order(db, order, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(databases())
+def test_walk_classes_are_the_one_description(data):
+    # the classes the walk counts from the level above are the ones
+    # survival_classes counts from the database, on every walk setting
+    transactions, n_items = data
+    db = TransactionDatabase(transactions, n_items=n_items)
+    for kind, include_empty, min_support, rho, max_size in product(
+            KINDS, (False, True), (0, 1, 2, 0.3), (0.0, 0.5), (None, 2)):
+        walk = list(mining.levelwise(db, MiningConfig(kind, 0.5, rho, min_support, max_size,
+                                                      include_empty)))
+        setting = (kind, include_empty, min_support, rho, max_size)
+        for items, s, r, classes in walk:
+            assert classes == survival_classes(db, items, kind), (items, setting)
+            assert s == support(db, items), (items, setting)
+            assert r == robustness(db, items, kind, 0.5), (items, setting)
+        itemsets = [items for items, *_ in walk]
+        assert itemsets == sorted(itemsets, key=lambda it: (len(it), it)), setting
 
 
 def test_walk_keys_order_like_rank():
@@ -131,6 +178,35 @@ def test_sparse_huge_ids_mine_in_bounded_memory(run):
         tracemalloc.stop()
     assert peak < 4_000_000
     assert out
+
+
+@pytest.fixture(scope="module")
+def long_db():
+    return random_db(1, 20000, 30, 0.15)
+
+
+@pytest.mark.parametrize("kind, run", [
+    (PredicateKind.FREE, mine_robust),
+    (PredicateKind.FREE, lambda db, config: deque(mining.levelwise(db, config), maxlen=0)),
+    (PredicateKind.NON_DERIVABLE, lambda db, config: deque(mining.levelwise(db, config),
+                                                           maxlen=0)),
+], ids=["free-mine_robust", "free-walk", "ndi-walk"])
+def test_long_input_walk_keeps_one_level_of_tidsets(long_db, kind, run):
+    # 20,000 rows at min support 200: level 2's 435 survivors are kept with
+    # their tidsets (2.5 KB each), and level 3's 4,060 candidates, none of
+    # which reaches min support, are counted from them without a tidset each.
+    # ndi's mine_robust is not bounded here: its packed level-2 keys outweigh
+    # the walk's state.
+    config = MiningConfig(kind, alpha=0.5, min_support=200)
+    one_level = 435 * len(long_db) // 8
+    tracemalloc.start()
+    try:
+        run(long_db, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * one_level
+    assert [len(m.items) for m in mine_robust(long_db, config)] == [1] * 30 + [2] * 435
 
 
 def test_sparse_huge_ids_results():

@@ -14,6 +14,7 @@ from robustmine import (
     is_totally_shattered,
     support,
 )
+from robustmine.predicates import survival_classes
 
 
 def test_kind_parse():
@@ -111,6 +112,20 @@ def test_dispatch_matches_direct_calls(toy):
         assert evaluate_predicate(toy, items, PredicateKind.FREE) == is_free(toy, items)
         assert evaluate_predicate(toy, items, PredicateKind.NON_DERIVABLE) == is_non_derivable(toy, items)
         assert evaluate_predicate(toy, items, PredicateKind.TOTALLY_SHATTERED) == is_totally_shattered(toy, items)
+
+
+def test_evaluate_predicate_tests_given_classes(toy):
+    # the walk passes the classes it counted; they are tested, not recounted
+    for items in all_itemsets(5, 3):
+        for kind in (PredicateKind.FREE, PredicateKind.NON_DERIVABLE,
+                     PredicateKind.TOTALLY_SHATTERED):
+            classes = survival_classes(toy, items, kind)
+            assert evaluate_predicate(toy, items, kind, classes) == \
+                evaluate_predicate(toy, items, kind), (items, kind)
+        assert not evaluate_predicate(toy, items, PredicateKind.FREE, ((1, 0),))
+        assert evaluate_predicate(toy, items, PredicateKind.NON_DERIVABLE, ([0], [1]))
+    with pytest.raises(ValueError, match="closedness has no survival classes"):
+        evaluate_predicate(toy, (0,), PredicateKind.CLOSED, ((1,),))
 
 
 def test_predicates_false_stays_false_under_deletion():
