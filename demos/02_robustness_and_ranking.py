@@ -17,7 +17,6 @@ from robustmine import (
     parse_fimi,
     rank,
     robustness,
-    robustness_free,
     seq_diff,
     top_k,
 )
@@ -37,8 +36,8 @@ db = parse_fimi(TOY)
 print("alpha   r(free {0,1})   r(free {0,3})")
 for i in range(0, 11):
     a = i / 10
-    print(f" {a:.1f}      {robustness_free(db, (0, 1), a):.4f}"
-          f"          {robustness_free(db, (0, 3), a):.4f}")
+    print(f" {a:.1f}      {robustness(db, (0, 1), PredicateKind.FREE, a):.4f}"
+          f"          {robustness(db, (0, 3), PredicateKind.FREE, a):.4f}")
 
 # the margin vector is the sorted list of cell counts that protect the
 # property; fewer / smaller margins mean the property dies sooner

@@ -19,12 +19,10 @@ from .oracle import (EXHAUSTIVE_LIMIT, breakdown_vector, exhaustive_robustness,
 from .ordering import (EQUAL, GREATER, LESS, ClosedCoefficients, OrderKey, alpha_bound,
                        closed_coefficients, compare_keys, compare_polynomials,
                        compare_sequences, comparison_exact, evaluate_poly, expand,
-                       margin_vector, ndi_polynomial, order_key, rank, seq_diff)
+                       margin_vector, ndi_polynomial, order_key, rank, score, seq_diff)
 from .predicates import (PredicateKind, derivability_bounds, evaluate_predicate,
                          is_closed, is_free, is_non_derivable, is_totally_shattered)
-from .robustness import (robustness, robustness_closed_exact, robustness_free,
-                         robustness_non_derivable, robustness_totally_shattered,
-                         survival_probability)
+from .robustness import robustness, survival_probability
 
 __version__ = "0.1.0"
 

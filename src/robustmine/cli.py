@@ -14,12 +14,11 @@ import math
 import sys
 
 from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
-from .experiments import (compliance, noise_mix, rank_distance, robustness_bucket_order,
-                          sweep, walk_orders)
-from .mining import MiningConfig, mine_closed, mine_robust, resolve_min_support, top_k
+from .experiments import compliance, noise_mix, rank_distance, sweep, walk_orders
+from .mining import MiningConfig, mine_robust, resolve_min_support, top_k
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
-from .ordering import ClosedFamilyIndex, comparison_exact
-from .ordering import rank as rank_itemsets
+from .ordering import comparison_exact
+from .ordering import rank as rank_itemsets  # noqa: F401  (perfbench's tracer test reads it)
 from .predicates import PredicateKind
 from .robustness import robustness
 
@@ -251,15 +250,7 @@ def cmd_experiment_rank_distance(args) -> int:
     alpha = _alpha_in_range(args)
     db = _load_db(args)
     tau = resolve_min_support(args.min_support, len(db))
-    if kind is PredicateKind.CLOSED:
-        index = ClosedFamilyIndex(mine_closed(db, max(tau, 1)), db.n_items, min_support=max(tau, 1))
-        members = index.members  # the mined itemsets, in mining order
-        # closed robustness needs every closed superset: score with the threshold-1 family
-        complete = index if tau <= 1 else mine_closed(db, 1)
-        buckets = robustness_bucket_order(db, members, kind, alpha, closed_family=complete)
-        order = [items for items, _ in rank_itemsets(db, members, kind, closed_family=index)]
-    else:
-        buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)
+    buckets, order = walk_orders(db, kind, alpha, tau, args.include_empty)
     if len(order) < 2:
         raise CliError(2, f"only {len(order)} itemsets pass the filters; "
                           "distance needs at least two")

@@ -12,10 +12,10 @@ from itertools import compress, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
-from .mining import MiningConfig, levelwise
-from .ordering import ClosedFamilyIndex, OrderKey, key_payload, rank
+from .mining import MiningConfig, family_keys, levelwise, mine_closed, resolve_min_support
+from .ordering import ClosedFamilyIndex, check_probability, rank, score
 from .predicates import PredicateKind
-from .robustness import check_probability, robustness, survival
+from .robustness import robustness
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,17 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
     """Mined-itemset counts over the (alpha, rho) grid.
 
     The predicate family is independent of alpha, so it is walked once at
-    alpha = 1, each member's survival classes are counted once, and the grid
-    only re-thresholds robustness values: sorted once per alpha, the count at
+    alpha = 1, each member's score is built once, and the grid only
+    re-thresholds its values: sorted once per alpha, the count at
     rho is the number of values >= rho, one bisection. Counts equal a literal
     mine_robust run at every grid point.
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
-    classes = [c for *_, c in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
+    scores = [sc for *_, sc in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
     counts = {}
     for a in alphas:
-        values = sorted(survival(c, a) for c in classes)
+        values = sorted(sc.value(a) for sc in scores)
         for r in rhos:
             counts[(a, r)] = len(values) - bisect_left(values, r)
     return SweepResult(kind, alphas, rhos, counts)
@@ -143,11 +143,14 @@ def parameter_free_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
 
 def walk_orders(db: TransactionDatabase, kind: PredicateKind, alpha: float, min_support=1,
                 include_empty: bool = False):
-    """(robustness_bucket_order, parameter_free_order) of a non-closed family
-    from one walk, which counts each member's survival classes once."""
-    walk = list(levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
-                                           include_empty=include_empty)))
-    buckets = _buckets((items, survival(classes, alpha)) for items, _, _, classes in walk)
-    keys = sorted(OrderKey(kind, key_payload(classes, len(db)), s, items)
-                  for items, s, _, classes in walk)
-    return buckets, [key.items for key in keys]
+    """(robustness_bucket_order, parameter_free_order) of a kind's family from
+    its family_keys, each member scored once: a bucket value is its key's
+    value at alpha. Closed values need every closed superset, so above min
+    support 1 the members are scored again over the threshold-1 family."""
+    keys = family_keys(db, kind, min_support, include_empty=include_empty)
+    scores = [key.payload for key in keys]
+    if kind is PredicateKind.CLOSED and resolve_min_support(min_support, len(db)) > 1:
+        complete = ClosedFamilyIndex(mine_closed(db, 1), db.n_items)
+        scores = [score(db, key.items, kind, complete) for key in keys]
+    buckets = _buckets((key.items, sc.value(alpha)) for key, sc in zip(keys, scores))
+    return buckets, [key.items for key in sorted(keys)]

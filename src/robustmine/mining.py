@@ -13,9 +13,8 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase
-from .ordering import ClosedFamilyIndex, OrderKey, key_payload, order_key
+from .ordering import ClosedFamilyIndex, OrderKey, check_probability, order_key, score_of
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
-from .robustness import check_probability, survival
 
 
 def resolve_min_support(min_support, n_transactions: int) -> int:
@@ -51,8 +50,9 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     """The Apriori walk behind every non-closed miner. A candidate survives
     when its support reaches min_support, the predicate holds and its
     robustness at alpha reaches rho. Members are yielded as (items, support,
-    robustness, classes), level by level in lexicographic itemset order, the
-    empty itemset first when include_empty is set and it survives. Level 1
+    robustness, classes, score), level by level in lexicographic itemset
+    order, the empty itemset first when include_empty is set and it
+    survives. Level 1
     holds every id at min_support 0 (an absent item can qualify there, but
     joins nothing: a superset of it has an empty cell in every class) and only
     the items present otherwise. A negative max_size is rejected.
@@ -63,8 +63,9 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     against min_support first. A free candidate's cells are supp(X - x) -
     supp(X), read from the supports of the level above; an ndi or ts
     candidate counts its one cell table. evaluate_predicate then tests those
-    classes, and the robustness is scored from them. Only the supports and
-    tidsets of one level's survivors are kept, for the next level's join.
+    classes, and the score is built from them (score_of): its value at alpha
+    is the robustness. Only the supports and tidsets of one level's
+    survivors are kept, for the next level's join.
     """
     kind = config.kind
     if kind is PredicateKind.CLOSED:
@@ -75,7 +76,7 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     max_size = config.max_size
     if max_size is not None and max_size < 0:
         raise ValueError(f"max size must be >= 0, got {max_size}")
-    cols = dict(db.columns())
+    cols, dlen = dict(db.columns()), len(db)
 
     def keep(items, t, supports):
         s = t.bit_count()
@@ -88,8 +89,9 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
             classes = survival_classes(db, items, kind)
         if not evaluate_predicate(db, items, kind, classes):
             return None
-        r = survival(classes, alpha)
-        return (items, s, r, classes) if r >= rho else None
+        sc = score_of(classes, dlen)
+        r = sc.value(alpha)
+        return (items, s, r, classes, sc) if r >= rho else None
 
     # the level above: its survivors' supports (the free cells and the subset
     # prune) and tidsets (each candidate's prefix parent); the empty itemset
@@ -129,9 +131,8 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     within each size."""
     # one level's keys are alive at a time; a level sorts by key alone, as
     # comparing pairs would first test keys for equality
-    dlen = len(db)
-    scored = ((OrderKey(config.kind, key_payload(classes, dlen), s, items), r)
-              for items, s, r, classes in levelwise(db, config))
+    scored = ((OrderKey(config.kind, sc, s, items), r)
+              for items, s, r, _, sc in levelwise(db, config))
     return [MinedItemset(key.items, key.support, r)
             for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
             for key, r in sorted(level, key=itemgetter(0))]
@@ -179,6 +180,26 @@ def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int,
     return out
 
 
+def family_keys(db: TransactionDatabase, kind: PredicateKind, min_support=1,
+                max_size: int | None = None, include_empty: bool = False,
+                min_size: int = 0) -> list[OrderKey]:
+    """The ranking keys of a kind's family, members of min_size to max_size
+    items with support >= min_support, in mining order: closed mined at
+    min_support (at least 1) and keyed over the index of that family; every
+    other kind walked levelwise, keyed by the scores the walk built. The
+    empty itemset takes part for non-closed kinds when include_empty is set,
+    min_size is 0 and it passes the filters."""
+    tau = resolve_min_support(min_support, len(db))
+    if kind is PredicateKind.CLOSED:
+        family = mine_closed(db, max(tau, 1))
+        index = ClosedFamilyIndex(family, db.n_items, min_support=max(tau, 1))
+        return [order_key(db, it, kind, index) for it, _ in family
+                if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
+    walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
+                                      include_empty=include_empty))
+    return [OrderKey(kind, sc, s, items) for items, s, _, _, sc in walk if len(items) >= min_size]
+
+
 @dataclass(frozen=True)
 class RankedPattern:
     position: int
@@ -190,15 +211,10 @@ class RankedPattern:
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None,
           include_empty: bool = True) -> list[RankedPattern]:
-    """The k most robust members of the predicate family.
-
-    Closed: the family is mined at min_support (at least 1) and ranked by
-    its inclusion-exclusion keys. Other kinds: the predicate family with
-    support >= min_support, ranked by margin vector or polynomial. The empty
-    itemset participates when include_empty is set, min_size is 0 and it
-    passes the filters. The keys are selected, not sorted: their order is
-    total (the tie-break compares unique itemsets), so the k smallest are
-    the sorted family's first k.
+    """The k most robust members of the predicate family, whose keys
+    family_keys builds. They are selected, not sorted: their order is total
+    (the tie-break compares unique itemsets), so the k smallest are the
+    sorted family's first k.
     """
     import heapq  # imported here: at module level it would add to every command's start-up
 
@@ -206,18 +222,7 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         raise ValueError(f"k must be >= 1, got {k}")
     if min_size < 0 or (max_size is not None and max_size < min_size):
         raise ValueError(f"bad size window [{min_size}, {max_size}]")
-    tau = resolve_min_support(min_support, len(db))
-    if kind is PredicateKind.CLOSED:
-        tau = max(tau, 1)
-        family = mine_closed(db, tau)
-        index = ClosedFamilyIndex(family, db.n_items, min_support=tau)
-        keys = [order_key(db, it, kind, index) for it, _ in family
-                if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
-    else:
-        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
-                                          include_empty=include_empty))
-        keys = [OrderKey(kind, key_payload(classes, len(db)), s, items)
-                for items, s, _, classes in walk if len(items) >= min_size]
+    keys = family_keys(db, kind, min_support, max_size, include_empty, min_size)
     # a list, so that k >= len(keys) falls back to sorted()
     return [RankedPattern(pos, key.items, key.support, key)
             for pos, key in enumerate(heapq.nsmallest(k, keys), start=1)]

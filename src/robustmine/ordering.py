@@ -1,11 +1,12 @@
-"""Parameter-free ordering of itemsets by robustness near alpha = 1.
+"""Scores of itemsets, and their parameter-free ordering near alpha = 1.
 
 Robustness, as a function of the deletion rate, is a polynomial in
-beta = 1 - alpha with integer coefficients. Two itemsets are compared by the
-first coefficient where those polynomials differ; for the free and
-totally-shattered properties the comparison collapses to an ordering of
-sorted cell-count sequences (margin vectors) that never expands a polynomial,
-and non-derivability keys include only the cells below their first difference.
+beta = 1 - alpha with integer coefficients. Each itemset and kind has one
+score object holding it: its value at alpha is the robustness, and two
+itemsets are compared by the first coefficient where their polynomials
+differ. For the free and totally-shattered properties the score is a margin
+vector, sorted cell counts whose order never expands a polynomial, and
+non-derivability scores include only the cells below their first difference.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, repeat, zip_longest
 
 from .dataset import TransactionDatabase, canon_items, support
@@ -22,6 +23,36 @@ from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
 LESS, EQUAL, GREATER = -1, 0, 1
 # bits of sub(Y) bitsets one ClosedFamilyIndex caches (8 MiB) before it starts over
 SUBSET_CACHE_BITS = 1 << 26
+_SLACK = 1e-12
+
+
+def check_probability(x: float, name: str = "alpha") -> float:
+    """x as a float; ValueError when it lies outside [0, 1]."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {x}")
+    return x
+
+
+def _checked(r: float) -> float:
+    if not -_SLACK <= r <= 1.0 + _SLACK:
+        raise ArithmeticError(f"robustness {r} outside [0, 1]")
+    return min(1.0, max(0.0, r))
+
+
+def survival_probability(cells: Sequence[int], alpha: float) -> float:
+    """Probability that every listed cell keeps at least one transaction.
+
+    Each factor is 1 - (1-alpha)**count; an empty cell contributes 0
+    ((1-alpha)**0 == 1 even at alpha = 1), an empty list gives 1.
+    """
+    beta = 1.0 - check_probability(alpha)
+    prod = 1.0
+    for c in sorted(cells, reverse=True):
+        if c < 0:
+            raise ValueError(f"negative cell count {c}")
+        prod *= 1.0 - beta ** c
+    return _checked(prod)
 
 
 def _one_class(kind: PredicateKind, what: str):
@@ -38,7 +69,7 @@ def margin_vector(db: TransactionDatabase, items, kind: PredicateKind) -> tuple[
     have no margin vector.
     """
     (cells,) = _one_class(kind, "margin vectors are").cells(db, canon_items(items))
-    return tuple(sorted(cells))
+    return Margin(sorted(cells))
 
 
 def compare_sequences(s: Sequence[int], t: Sequence[int]) -> int:
@@ -54,6 +85,21 @@ def compare_sequences(s: Sequence[int], t: Sequence[int]) -> int:
     if len(s) == len(t):
         return EQUAL
     return LESS if len(s) > len(t) else GREATER
+
+
+class Margin(tuple):
+    """The score of a one-class kind (free, ts): its sorted cell counts, a
+    margin vector. Its robustness is their survival probability; it compares
+    by compare_sequences and equals the plain tuple of its cells."""
+
+    __slots__ = ()
+    compare = compare_sequences
+
+    def value(self, alpha: float) -> float:
+        return survival_probability(self, alpha)
+
+    def describe(self) -> str:
+        return ",".join(map(str, self))
 
 
 def seq_diff(s: Sequence[int], t: Sequence[int]) -> float:
@@ -113,11 +159,13 @@ def _terms(packed: int, width: int, n: int) -> dict[int, int]:
     return terms
 
 
-def evaluate_poly(coeffs, beta: float) -> float:
-    """Evaluate a dense list or sparse {degree: coeff} polynomial at beta."""
-    if isinstance(coeffs, dict):
-        return float(sum(c * beta ** k for k, c in sorted(coeffs.items())))
-    return reduce(lambda acc, c: acc * beta + c, reversed(list(coeffs)), 0.0)
+def evaluate_poly(coeffs: dict, beta: float) -> float:
+    """Evaluate a sparse {degree: coeff} polynomial at beta."""
+    return float(sum(c * beta ** k for k, c in sorted(coeffs.items())))
+
+
+def _describe_terms(terms: dict) -> str:
+    return ",".join(f"{k}:{c}" for k, c in terms.items()) or "0"
 
 
 def ndi_polynomial(db: TransactionDatabase, items) -> list[int]:
@@ -198,13 +246,23 @@ class NdiPolynomial:
             upto = horizon + 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NdiPolynomial) and self.compare(other) == EQUAL
+        return type(other) is NdiPolynomial and self.compare(other) == EQUAL
+
+    def value(self, alpha: float) -> float:
+        """r at alpha, as 1 - (1 - o(A))(1 - o(B)) of the classes' survival probabilities."""
+        a, b = self.classes
+        return _checked(1.0 - (1.0 - survival_probability(a, alpha))
+                        * (1.0 - survival_probability(b, alpha)))
+
+    def describe(self) -> str:
+        return _describe_terms(self.terms())
 
 
-def key_payload(classes, dlen: int):
-    """Ranking payload from survival classes: one class gives its sorted margin
-    vector, the two ndi classes their lazy NdiPolynomial."""
-    return tuple(sorted(classes[0])) if len(classes) == 1 else NdiPolynomial(classes, dlen)
+def score_of(classes, dlen: int):
+    """The score of a non-closed kind from its survival classes, over a
+    database of dlen transactions: one class gives its Margin, the two ndi
+    classes their lazy NdiPolynomial."""
+    return Margin(sorted(classes[0])) if len(classes) == 1 else NdiPolynomial(classes, dlen)
 
 
 @dataclass(frozen=True)
@@ -241,6 +299,20 @@ class ClosedCoefficients:
 
     def is_exact(self, k: int) -> bool:
         return self.min_support <= 1 or self.supp - k >= self.min_support
+
+    def value(self, alpha: float) -> float:
+        """The robustness at alpha, which needs every closed superset: the
+        index must be complete (min_support 1)."""
+        beta = 1.0 - check_probability(alpha)
+        if self.min_support != 1:
+            raise ValueError(f"min_support=1 differs from the index's {self.min_support}")
+        return _checked(evaluate_poly(self.coeffs, beta))
+
+    def compare(self, other: "ClosedCoefficients") -> int:
+        return _compare_terms(self.coeffs, other.coeffs)
+
+    def describe(self) -> str:
+        return _describe_terms(self.coeffs)
 
 
 def _digit_sums(bitsets) -> list[int]:
@@ -403,37 +475,55 @@ def closed_coefficients(items, family, supp_x: int, n_items: int | None = None,
 
 
 def compare_polynomials(p, q) -> int:
-    """First-differing-coefficient order: LESS means p is less robust near alpha = 1."""
+    """First-differing-coefficient order of two dense lists or sparse
+    {degree: coeff} dicts: LESS means p is less robust near alpha = 1."""
+    return _compare_terms(_as_sparse(p), _as_sparse(q))
+
+
+def _as_sparse(p) -> dict:
+    """The nonzero coefficients of a dense list or a dict, in ascending degree order."""
+    terms = sorted(p.items()) if isinstance(p, dict) else enumerate(p)
+    return {k: c for k, c in terms if c != 0}
+
+
+def _compare_terms(p: dict, q: dict) -> int:
     d = _first_difference(p, q)
     return EQUAL if d is None else LESS if d[1] < d[2] else GREATER
 
 
-def _first_difference(p, q) -> tuple[int, int, int] | None:
+def _first_difference(p: dict, q: dict) -> tuple[int, int, int] | None:
     """(degree, p's coefficient, q's coefficient) at the lowest degree where
-    they differ, or None: the nonzero terms of both are walked in step."""
+    two ascending nonzero-term dicts differ, or None: walked in step."""
     end = (math.inf, 0)
-    for (kp, cp), (kq, cq) in zip_longest(_as_sparse(p).items(), _as_sparse(q).items(),
-                                          fillvalue=end):
+    for (kp, cp), (kq, cq) in zip_longest(p.items(), q.items(), fillvalue=end):
         if kp != kq or cp != cq:
             k = min(kp, kq)
             return k, cp if kp == k else 0, cq if kq == k else 0
     return None
 
 
-def _as_sparse(p) -> dict:
-    """The nonzero coefficients of a polynomial, in ascending degree order."""
-    if isinstance(p, ClosedCoefficients):
-        return p.coeffs
-    if isinstance(p, NdiPolynomial):
-        return p.terms()
-    terms = sorted(p.items()) if isinstance(p, dict) else enumerate(p)
-    return {k: c for k, c in terms if c != 0}
+def score(db: TransactionDatabase, items, kind: PredicateKind, closed_family=None):
+    """The one score of an itemset for a kind: a Margin (free, ts), an
+    NdiPolynomial (ndi) or ClosedCoefficients (closed), each with
+    value(alpha), compare(other) and describe(). A closed score reads its
+    closed supersets from closed_family (pairs or a ClosedFamilyIndex, whose
+    min_support it takes; value needs a complete one) or, when omitted, from
+    the itemset's conditional database (the transactions holding it), whose
+    closed sets are exactly its nonempty closed supersets, same supports."""
+    if kind is not PredicateKind.CLOSED:
+        return score_of(survival_classes(db, items, kind), len(db))
+    if closed_family is None:
+        from .mining import mine_closed  # imported here: mining imports this module
+        closed_family = mine_closed(db.holding(items := canon_items(items)), 1)
+    # read twice: by support, then by closed_coefficients, which canonicalises it
+    items = tuple(items)
+    return closed_coefficients(items, closed_family, support(db, items), db.n_items)
 
 
 @dataclass(frozen=True)
 class OrderKey:
-    """Comparison key for one itemset plus tie-breaks. The payload is a margin
-    vector (free, ts), an NdiPolynomial (ndi) or ClosedCoefficients (closed)."""
+    """Comparison key for one itemset plus tie-breaks. The payload is the
+    itemset's score (Margin, NdiPolynomial or ClosedCoefficients)."""
 
     kind: PredicateKind
     payload: object
@@ -442,9 +532,7 @@ class OrderKey:
 
     def describe(self) -> str:
         """Stable, human-readable key descriptor."""
-        if isinstance(self.payload, tuple):  # a margin vector
-            return ",".join(map(str, self.payload))
-        return ",".join(f"{k}:{c}" for k, c in _as_sparse(self.payload).items()) or "0"
+        return self.payload.describe()
 
     def __lt__(self, other: "OrderKey") -> bool:
         """Ranking order: a key sorts first when it is more robust near
@@ -461,11 +549,7 @@ def compare_keys(a: OrderKey, b: OrderKey) -> int:
     when equal), through NdiPolynomial.compare."""
     if a.kind is not b.kind:
         raise ValueError("keys of different kinds are not comparable")
-    if isinstance(a.payload, tuple):  # margin vectors
-        return compare_sequences(a.payload, b.payload)
-    if isinstance(a.payload, NdiPolynomial):
-        return a.payload.compare(b.payload)
-    return compare_polynomials(a.payload, b.payload)
+    return a.payload.compare(b.payload)
 
 
 def order_key(db: TransactionDatabase, items, kind: PredicateKind,
@@ -473,15 +557,12 @@ def order_key(db: TransactionDatabase, items, kind: PredicateKind,
     """Build the ranking key for one itemset; closed_family may be a
     ClosedFamilyIndex, whose min_support the closed key takes."""
     if kind is not PredicateKind.CLOSED:
-        supp = support(db, items := canon_items(items))
-        payload = key_payload(survival_classes(db, items, kind), len(db))
-    elif closed_family is None:
+        items = canon_items(items)
+        return OrderKey(kind, score(db, items, kind), support(db, items), items)
+    if closed_family is None:
         raise ValueError("ranking closed itemsets requires a closed family")
-    else:  # closed_coefficients canonicalises the itemset, once
-        supp = support(db, items := tuple(items))
-        payload = closed_coefficients(items, closed_family, supp, n_items=db.n_items)
-        items = payload.items
-    return OrderKey(kind, payload, supp, items)
+    payload = score(db, items, kind, closed_family)
+    return OrderKey(kind, payload, payload.supp, payload.items)
 
 
 def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
@@ -499,5 +580,5 @@ def comparison_exact(a: OrderKey, b: OrderKey) -> bool:
     from fully mined support levels. Non-closed keys always compare exactly."""
     if a.kind is not PredicateKind.CLOSED or b.kind is not PredicateKind.CLOSED:
         return True
-    d = _first_difference(a.payload, b.payload)
+    d = _first_difference(a.payload.coeffs, b.payload.coeffs)
     return d is None or (a.payload.is_exact(d[0]) and b.payload.is_exact(d[0]))

@@ -44,7 +44,6 @@ from robustmine import (
     rank_distance,
     robustness,
     robustness_bucket_order,
-    robustness_free,
     seq_diff,
     support,
     sweep,
@@ -337,7 +336,7 @@ def test_criterion_7_monte_carlo_calibration():
         # estimator has something nontrivial to recover
         target = None
         for x, y in itertools.combinations(range(db.n_items), 2):
-            r = robustness_free(db, (x, y), 0.1)
+            r = robustness(db, (x, y), PredicateKind.FREE, 0.1)
             if 0.1 <= r <= 0.9:
                 target = (x, y)
                 analytic = r

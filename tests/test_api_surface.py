@@ -17,9 +17,8 @@ EXPORTS = [
     "monte_carlo_robustness", "ndi_polynomial", "noise_mix", "one_zero_cells", "oracle",
     "order_key", "ordering", "parameter_free_order", "parse_fimi", "parse_labels",
     "predicates", "rank", "rank_distance", "resolve_min_support", "robustness",
-    "robustness_bucket_order", "robustness_closed_exact", "robustness_free",
-    "robustness_non_derivable", "robustness_totally_shattered", "seq_diff", "support",
-    "survival_probability", "sweep", "top_k",
+    "robustness_bucket_order", "score", "seq_diff", "support", "survival_probability",
+    "sweep", "top_k",
 ]
 
 DATABASE_ATTRIBUTES = [

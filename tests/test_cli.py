@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from conftest import TOY_TEXT, random_db
 from robustmine import PredicateKind, sweep
 from robustmine.cli import main
 import robustmine.cli as cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -430,6 +433,19 @@ def test_rank_distance_closed_above_min_support_one(capsys, tmp_path):
     predicate, alpha, distance = out.splitlines()[1].split("\t")
     assert (predicate, alpha) == ("closed", "0.3")
     assert 0.0 <= float(distance) <= 100.0  # a percentage of discordant pairs
+
+
+def test_rank_distance_stdout_matches_golden(capsys, tmp_path):
+    # closed and free take the same family-key path; these distances were
+    # printed when closed ranked and scored its members in a branch of its own
+    db = random_db(0, 20, 6, 0.5)
+    path = tmp_path / "db.fimi"
+    path.write_text("".join(" ".join(map(str, db.row_items(j))) + "\n" for j in range(len(db))))
+    for predicate, min_support in (("closed", "1"), ("closed", "2"), ("free", "1")):
+        name = f"rank_distance_{predicate}_min{min_support}.tsv"
+        assert run(capsys, "experiment", "rank-distance", "--input", str(path), "--predicate",
+                   predicate, "--alpha", "0.3", "--min-support", min_support) == \
+            (0, (GOLDEN / name).read_text(), ""), name
 
 
 def test_argparse_errors_exit_2(capsys, toy_path):

@@ -18,8 +18,7 @@ from conftest import all_itemsets, databases, random_db
 from robustmine import (ClosedCoefficients, PredicateKind, TransactionDatabase,
                         closed_coefficients, compare_polynomials, is_closed, mine_closed,
                         order_key, parameter_free_order, parse_fimi, rank,
-                        resolve_min_support, robustness, robustness_bucket_order,
-                        robustness_closed_exact, support)
+                        resolve_min_support, robustness, robustness_bucket_order, support)
 from robustmine.cli import main
 from robustmine.ordering import EQUAL, GREATER, LESS, ClosedFamilyIndex
 
@@ -273,8 +272,8 @@ def test_closed_entry_points_take_pairs_or_an_index(case):
         assert order_key(db, x, CLOSED, family) == order_key(db, x, CLOSED, index)
         assert robustness(db, x, CLOSED, 0.4, closed_family=family) == \
             robustness(db, x, CLOSED, 0.4, closed_family=index)
-        assert robustness_closed_exact(db, x, 0.7, family) == \
-            robustness_closed_exact(db, x, 0.7, index)
+        assert robustness(db, x, PredicateKind.CLOSED, 0.7, closed_family=family) == \
+            robustness(db, x, PredicateKind.CLOSED, 0.7, closed_family=index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -337,11 +336,11 @@ def test_family_outside_the_universe_is_rejected():
 def test_hand_built_closed_keys_compare_by_their_nonzero_terms():
     # coefficients listed out of degree order and with zero terms
     a = ClosedCoefficients({3: 1, 0: 2, 1: 0}, 6)
-    assert compare_polynomials(a, ClosedCoefficients({0: 2, 3: 1}, 6)) == EQUAL
-    assert compare_polynomials(a, {0: 2, 2: 0, 3: 1}) == EQUAL
-    assert compare_polynomials(a, ClosedCoefficients({2: -1, 0: 2}, 6)) == GREATER
-    assert compare_polynomials(ClosedCoefficients({5: -1, 0: 2, 3: 1}, 6), a) == LESS
-    assert compare_polynomials(a, [2, 0, 0, 1, 0, 0]) == EQUAL
+    assert a.compare(ClosedCoefficients({0: 2, 3: 1}, 6)) == EQUAL
+    assert compare_polynomials(a.coeffs, {0: 2, 2: 0, 3: 1}) == EQUAL
+    assert a.compare(ClosedCoefficients({2: -1, 0: 2}, 6)) == GREATER
+    assert ClosedCoefficients({5: -1, 0: 2, 3: 1}, 6).compare(a) == LESS
+    assert compare_polynomials(a.coeffs, [2, 0, 0, 1, 0, 0]) == EQUAL
 
 
 def _without_family(db, x, alpha):
@@ -365,7 +364,7 @@ def test_closed_robustness_from_the_conditional_family(case):
         for alpha in (0.0, 0.3, 1.0):
             want = robustness(db, x, PredicateKind.CLOSED, alpha, closed_family=index)
             assert _without_family(db, x, alpha) == want
-            assert robustness_closed_exact(db, x, alpha) == want
+            assert robustness(db, x, PredicateKind.CLOSED, alpha) == want
 
 
 def test_closed_robustness_without_family_edge_cases():
@@ -379,12 +378,14 @@ def test_closed_robustness_without_family_edge_cases():
     for x, fixed in cases.items():
         for alpha in (0.0, 0.3, 0.8, 1.0):
             got = _without_family(db, x, alpha)
-            assert got == robustness_closed_exact(db, x, alpha, family), (x, alpha)
+            assert got == robustness(db, x, PredicateKind.CLOSED, alpha,
+                                     closed_family=family), (x, alpha)
             assert fixed is None or got == fixed
     blank = parse_fimi("\n  \n\n")
     assert (len(blank), blank.n_items) == (0, 0)
     assert _without_family(blank, (), 0.5) == \
-        robustness_closed_exact(blank, (), 0.5, mine_closed(blank, 1)) == 1.0
+        robustness(blank, (), PredicateKind.CLOSED, 0.5,
+                   closed_family=mine_closed(blank, 1)) == 1.0
     with pytest.raises(ValueError, match="outside"):
         _without_family(blank, (0,), 0.5)
 

@@ -117,3 +117,19 @@ def test_no_module_imports_a_private_name_of_another():
                     node.level or (node.module or "").split(".")[0] == "robustmine"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, (path.name, ast.dump(node))
+
+
+SCORE_TYPES = {"tuple", "Margin", "NdiPolynomial", "ClosedCoefficients"}
+
+
+def test_no_module_tells_the_scores_apart_by_type():
+    # each score answers value, compare and describe itself: no module picks
+    # a margin vector, an ndi polynomial or closed coefficients by isinstance
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                types = node.args[1]
+                named = {getattr(t, "id", getattr(t, "attr", None))
+                         for t in (types.elts if isinstance(types, ast.Tuple) else [types])}
+                assert not named & SCORE_TYPES, (path.name, node.lineno)

@@ -16,7 +16,7 @@ import robustmine.predicates as predicates
 from conftest import databases, random_db
 from robustmine import (MiningConfig, PredicateKind, TransactionDatabase, compare_keys, is_free,
                         mine_robust, order_key, parameter_free_order, parse_fimi, rank,
-                        robustness, robustness_bucket_order, support, sweep, top_k)
+                        robustness, robustness_bucket_order, score, support, sweep, top_k)
 from robustmine.experiments import walk_orders
 from robustmine.predicates import survival_classes
 
@@ -107,10 +107,11 @@ def test_walk_classes_are_the_one_description(data):
         walk = list(mining.levelwise(db, MiningConfig(kind, 0.5, rho, min_support, max_size,
                                                       include_empty)))
         setting = (kind, include_empty, min_support, rho, max_size)
-        for items, s, r, classes in walk:
+        for items, s, r, classes, sc in walk:
             assert classes == survival_classes(db, items, kind), (items, setting)
             assert s == support(db, items), (items, setting)
-            assert r == robustness(db, items, kind, 0.5), (items, setting)
+            assert r == robustness(db, items, kind, 0.5) == sc.value(0.5), (items, setting)
+            assert sc == score(db, items, kind), (items, setting)
         itemsets = [items for items, *_ in walk]
         assert itemsets == sorted(itemsets, key=lambda it: (len(it), it)), setting
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -10,8 +11,7 @@ from robustmine import (
     evaluate_predicate,
     exhaustive_robustness,
     monte_carlo_robustness,
-    robustness_free,
-    robustness_totally_shattered,
+    robustness,
 )
 
 
@@ -94,8 +94,7 @@ def test_exhaustive_agrees_with_closed_forms():
     for seed in (31, 32):
         db = random_db(seed, 8, 4, 0.5)
         for items in [(0,), (1, 2), (0, 3)]:
-            for alpha in (0.3, 0.6):
-                assert exhaustive_robustness(db, items, PredicateKind.FREE, alpha) == \
-                    pytest.approx(robustness_free(db, items, alpha), abs=1e-9)
-                assert exhaustive_robustness(db, items, PredicateKind.TOTALLY_SHATTERED, alpha) == \
-                    pytest.approx(robustness_totally_shattered(db, items, alpha), abs=1e-9)
+            for alpha, kind in product((0.3, 0.6), (PredicateKind.FREE,
+                                                    PredicateKind.TOTALLY_SHATTERED)):
+                assert exhaustive_robustness(db, items, kind, alpha) == \
+                    pytest.approx(robustness(db, items, kind, alpha), abs=1e-9)

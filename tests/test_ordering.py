@@ -21,7 +21,7 @@ from robustmine import (
     ndi_polynomial,
     order_key,
     rank,
-    robustness_non_derivable,
+    robustness,
     seq_diff,
     comparison_exact,
 )
@@ -87,12 +87,12 @@ def test_expand_matches_direct_product():
             direct = 1.0
             for s in cells:
                 direct *= 1.0 - beta ** s
-            assert evaluate_poly(coeffs, beta) == pytest.approx(direct, abs=1e-12)
+            assert evaluate_poly(dict(enumerate(coeffs)), beta) == pytest.approx(direct, abs=1e-12)
 
 
 def test_evaluate_poly_sparse_and_dense():
     assert evaluate_poly({0: 1, 2: -1}, 0.5) == pytest.approx(0.75)
-    assert evaluate_poly([1, 0, -1], 0.5) == pytest.approx(0.75)
+    assert evaluate_poly(dict(enumerate([1, 0, -1])), 0.5) == pytest.approx(0.75)
     assert evaluate_poly({}, 0.9) == 0.0
 
 
@@ -101,8 +101,9 @@ def test_ndi_polynomial_toy(toy):
     assert ndi_polynomial(toy, (0, 2)) == [1, 0, -1, -1, 0, 1, 0]
     for items in [(0, 1), (0, 2), (1, 3), (0, 1, 2)]:
         for alpha in (0.2, 0.5, 0.8):
-            direct = robustness_non_derivable(toy, items, alpha)
-            assert evaluate_poly(ndi_polynomial(toy, items), 1 - alpha) == pytest.approx(direct, abs=1e-12)
+            direct = robustness(toy, items, PredicateKind.NON_DERIVABLE, alpha)
+            poly = dict(enumerate(ndi_polynomial(toy, items)))
+            assert evaluate_poly(poly, 1 - alpha) == pytest.approx(direct, abs=1e-12)
 
 
 def test_closed_coefficients_toy(toy):

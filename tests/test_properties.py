@@ -30,7 +30,7 @@ def test_expand_agrees_with_survival(cs, alpha):
     beta = 1.0 - alpha
     poly = expand(cs, sum(cs))
     direct = survival_probability(cs, alpha)
-    assert abs(evaluate_poly(poly, beta) - direct) <= 1e-9
+    assert abs(evaluate_poly(dict(enumerate(poly)), beta) - direct) <= 1e-9
 
 
 @given(cells, alphas)

@@ -13,10 +13,7 @@ from robustmine import (
     exhaustive_robustness,
     mine_closed,
     robustness,
-    robustness_closed_exact,
-    robustness_free,
-    robustness_non_derivable,
-    robustness_totally_shattered,
+    score,
     survival_probability,
 )
 
@@ -38,41 +35,45 @@ def test_survival_probability_values():
 
 
 def test_free_robustness_toy(toy):
-    assert robustness_free(toy, (0, 4), 0.5) == pytest.approx(0.4375, abs=1e-15)
-    assert robustness_free(toy, (0, 1), 0.5) == pytest.approx(0.375, abs=1e-15)
-    assert robustness_free(toy, (), 0.5) == 1.0
-    assert robustness_free(toy, (2,), 0.5) == pytest.approx(0.9375, abs=1e-15)
-    assert robustness_free(toy, (0, 2), 0.9) == 0.0
+    assert robustness(toy, (0, 4), PredicateKind.FREE, 0.5) == pytest.approx(0.4375, abs=1e-15)
+    assert robustness(toy, (0, 1), PredicateKind.FREE, 0.5) == pytest.approx(0.375, abs=1e-15)
+    assert robustness(toy, (), PredicateKind.FREE, 0.5) == 1.0
+    assert robustness(toy, (2,), PredicateKind.FREE, 0.5) == pytest.approx(0.9375, abs=1e-15)
+    assert robustness(toy, (0, 2), PredicateKind.FREE, 0.9) == 0.0
 
 
 def test_ts_robustness_toy(toy):
-    assert robustness_totally_shattered(toy, (0, 1), 1 / 3) == pytest.approx(25 / 729, abs=1e-15)
-    assert robustness_totally_shattered(toy, (), 0.5) == pytest.approx(0.984375, abs=1e-15)
-    assert robustness_totally_shattered(toy, (0, 2), 1.0) == 0.0
+    ts = PredicateKind.TOTALLY_SHATTERED
+    assert robustness(toy, (0, 1), ts, 1 / 3) == pytest.approx(25 / 729, abs=1e-15)
+    assert robustness(toy, (), ts, 0.5) == pytest.approx(0.984375, abs=1e-15)
+    assert robustness(toy, (0, 2), ts, 1.0) == 0.0
 
 
 def test_nd_robustness_toy(toy):
-    assert robustness_non_derivable(toy, (0, 2), 0.5) == pytest.approx(0.65625, abs=1e-15)
-    assert robustness_non_derivable(toy, (), 0.37) == 1.0
+    ndi = PredicateKind.NON_DERIVABLE
+    assert robustness(toy, (0, 2), ndi, 0.5) == pytest.approx(0.65625, abs=1e-15)
+    assert robustness(toy, (), ndi, 0.37) == 1.0
     # derivable at alpha = 1 means robustness 0 there
-    assert robustness_non_derivable(toy, (0, 1, 2), 1.0) == 0.0
+    assert robustness(toy, (0, 1, 2), ndi, 1.0) == 0.0
 
 
 def test_closed_robustness_toy(toy):
+    def closed(items, alpha):
+        return robustness(toy, items, PredicateKind.CLOSED, alpha, closed_family=TOY_CLOSED)
+
     for alpha in (0.1, 0.5, 0.9):
         beta = 1 - alpha
-        assert robustness_closed_exact(toy, (1, 3, 4), alpha, TOY_CLOSED) == pytest.approx(
-            1 - beta ** 2, abs=1e-12)
-    assert robustness_closed_exact(toy, (0, 1, 2, 3, 4), 0.42, TOY_CLOSED) == 1.0
-    assert robustness_closed_exact(toy, (4,), 0.5, TOY_CLOSED) == pytest.approx(0.5, abs=1e-12)
-    assert robustness_closed_exact(toy, (1, 3, 4), 0.0, TOY_CLOSED) == 0.0
+        assert closed((1, 3, 4), alpha) == pytest.approx(1 - beta ** 2, abs=1e-12)
+    assert closed((0, 1, 2, 3, 4), 0.42) == 1.0
+    assert closed((4,), 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert closed((1, 3, 4), 0.0) == 0.0
 
 
 def test_closed_robustness_for_non_closed_itemsets(toy):
     # the inclusion-exclusion grouping stays valid for arbitrary query itemsets
     for items in [(1, 3), (0, 2), (2,), (0, 1), ()]:
         for alpha in (0.3, 0.7):
-            direct = robustness_closed_exact(toy, items, alpha, TOY_CLOSED)
+            direct = robustness(toy, items, PredicateKind.CLOSED, alpha, closed_family=TOY_CLOSED)
             brute = exhaustive_robustness(toy, items, PredicateKind.CLOSED, alpha)
             assert direct == pytest.approx(brute, abs=1e-12), (items, alpha)
 
@@ -81,17 +82,17 @@ def test_empty_itemset_closed_with_full_column():
     db = TransactionDatabase([[0], [0, 1]])
     fam = mine_closed(db, 1)
     # a full column keeps the empty itemset non-closed in every subsample
-    assert robustness_closed_exact(db, (), 0.6, fam) == 0.0
+    assert robustness(db, (), PredicateKind.CLOSED, 0.6, closed_family=fam) == 0.0
 
 
 def test_dispatcher(toy):
     for items in [(0,), (0, 1)]:
         for alpha in (0.2, 0.8):
-            assert robustness(toy, items, PredicateKind.FREE, alpha) == robustness_free(toy, items, alpha)
-            assert robustness(toy, items, PredicateKind.NON_DERIVABLE, alpha) == robustness_non_derivable(toy, items, alpha)
-            assert robustness(toy, items, PredicateKind.TOTALLY_SHATTERED, alpha) == robustness_totally_shattered(toy, items, alpha)
+            for kind in (PredicateKind.FREE, PredicateKind.NON_DERIVABLE,
+                         PredicateKind.TOTALLY_SHATTERED):
+                assert robustness(toy, items, kind, alpha) == score(toy, items, kind).value(alpha)
             assert robustness(toy, items, PredicateKind.CLOSED, alpha, closed_family=TOY_CLOSED) == \
-                robustness_closed_exact(toy, items, alpha, TOY_CLOSED) == \
+                score(toy, items, PredicateKind.CLOSED, TOY_CLOSED).value(alpha) == \
                 robustness(toy, items, PredicateKind.CLOSED, alpha)  # X's own closed supersets
     with pytest.raises(ValueError):
         robustness(toy, (5,), PredicateKind.CLOSED, 0.5)
@@ -100,9 +101,9 @@ def test_dispatcher(toy):
 def test_alpha_range_is_validated(toy):
     for bad in (-0.1, 1.0001):
         with pytest.raises(ValueError):
-            robustness_free(toy, (0,), bad)
+            robustness(toy, (0,), PredicateKind.FREE, bad)
         with pytest.raises(ValueError):
-            robustness_non_derivable(toy, (0,), bad)
+            robustness(toy, (0,), PredicateKind.NON_DERIVABLE, bad)
 
 
 def test_extremes_match_predicate(toy):
@@ -145,7 +146,7 @@ def test_range_check_survives_python_O():
     import robustmine
 
     src = os.path.dirname(os.path.dirname(robustmine.__file__))
-    code = ("from robustmine.robustness import _checked\n"
+    code = ("from robustmine.ordering import _checked\n"
             "try:\n    _checked(1.5)\nexcept ArithmeticError as e:\n    print(e)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
