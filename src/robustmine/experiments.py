@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
 from .mining import MiningConfig, family_keys, levelwise, mine_closed, resolve_min_support
-from .ordering import ClosedFamilyIndex, check_probability, rank, score
+from .ordering import ClosedFamilyIndex, check_probability, rank, score, sort_keys
 from .predicates import PredicateKind
 from .robustness import robustness
 
@@ -153,4 +153,4 @@ def walk_orders(db: TransactionDatabase, kind: PredicateKind, alpha: float, min_
         complete = ClosedFamilyIndex(mine_closed(db, 1), db.n_items)
         scores = [score(db, key.items, kind, complete) for key in keys]
     buckets = _buckets((key.items, sc.value(alpha)) for key, sc in zip(keys, scores))
-    return buckets, [key.items for key in sorted(keys)]
+    return buckets, [key.items for key in sort_keys(keys)]

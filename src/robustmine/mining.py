@@ -13,7 +13,8 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase
-from .ordering import ClosedFamilyIndex, OrderKey, check_probability, order_key, score_of
+from .ordering import (ClosedFamilyIndex, OrderKey, check_probability, order_key, score_of,
+                       sort_keys)
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 
 
@@ -129,13 +130,13 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
     """All itemsets holding the predicate with support >= min_support and
     robustness(alpha) >= rho. Output grouped by size, most robust first
     within each size."""
-    # one level's keys are alive at a time; a level sorts by key alone, as
-    # comparing pairs would first test keys for equality
+    # one level's keys are alive at a time, sorted by their exact prefixes:
+    # only keys whose prefixes tie are compared in Python (sort_keys)
     scored = ((OrderKey(config.kind, sc, s, items), r)
               for items, s, r, _, sc in levelwise(db, config))
     return [MinedItemset(key.items, key.support, r)
             for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
-            for key, r in sorted(level, key=itemgetter(0))]
+            for key, r in sort_keys(level, key=itemgetter(0))]
 
 
 def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int, ...], int]]:
@@ -212,9 +213,11 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None,
           include_empty: bool = True) -> list[RankedPattern]:
     """The k most robust members of the predicate family, whose keys
-    family_keys builds. They are selected, not sorted: their order is total
-    (the tie-break compares unique itemsets), so the k smallest are the
-    sorted family's first k.
+    family_keys builds. Fewer than the family are selected, not sorted: their
+    order is total (the tie-break compares unique itemsets), so the k
+    smallest are the sorted family's first k, and selecting a few compares
+    far fewer keys than building every key's prefix would cost. A k that
+    covers the family sorts it through sort_keys.
     """
     import heapq  # imported here: at module level it would add to every command's start-up
 
@@ -223,6 +226,6 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     if min_size < 0 or (max_size is not None and max_size < min_size):
         raise ValueError(f"bad size window [{min_size}, {max_size}]")
     keys = family_keys(db, kind, min_support, max_size, include_empty, min_size)
-    # a list, so that k >= len(keys) falls back to sorted()
+    chosen = heapq.nsmallest(k, keys) if k < len(keys) else sort_keys(keys)
     return [RankedPattern(pos, key.items, key.support, key)
-            for pos, key in enumerate(heapq.nsmallest(k, keys), start=1)]
+            for pos, key in enumerate(chosen, start=1)]

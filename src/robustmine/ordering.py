@@ -7,6 +7,8 @@ itemsets are compared by the first coefficient where their polynomials
 differ. For the free and totally-shattered properties the score is a margin
 vector, sorted cell counts whose order never expands a polynomial, and
 non-derivability scores include only the cells below their first difference.
+A full sort compares each score's exact prefix (prefix(width)) first, in C,
+and compares in Python only the pairs whose prefixes tie (sort_keys).
 """
 
 from __future__ import annotations
@@ -94,9 +96,14 @@ class Margin(tuple):
 
     __slots__ = ()
     compare = compare_sequences
+    pack_width = 0
 
     def value(self, alpha: float) -> float:
         return survival_probability(self, alpha)
+
+    def prefix(self, width: int) -> tuple[int, ...]:
+        """The negated cells: complete, a shorter vector sorting first."""
+        return tuple(-c for c in self)
 
     def describe(self) -> str:
         return ",".join(map(str, self))
@@ -183,8 +190,8 @@ class NdiPolynomial:
     (r = 0 at lo = 0; an empty class never fails: r = 1, lo is infinite).
 
     Products are packed integers (Kronecker substitution): coefficient k is
-    the signed digit at bits k*width, width = cells + 4, as n factors'
-    coefficients sum to at most 2**n in magnitude. Cells are included in
+    the signed digit at bits k*width, width = cells + 4 (pack_width), as n
+    factors' coefficients sum to at most 2**n in magnitude. Cells are included in
     ascending order as comparisons need, `v -= v << s*width` on a class's
     product and A u B's, per width in `states`: width -> [cells included,
     o(A), o(B), o(A u B), r]. r is exact below the smallest cell left out
@@ -203,6 +210,10 @@ class NdiPolynomial:
             raise ValueError(f"cell counts must be non-negative and sum to at most {degree}")
         return sorted([s << 1 for s in a] + [s << 1 | 1 for s in b])
 
+    @property
+    def pack_width(self) -> int:
+        return len(self.cells) + 4
+
     def include(self, width: int, upto) -> tuple[int, float]:
         """Include the cells of count <= upto at width; return r there and its horizon."""
         state = self.states.setdefault(width, [0, 1, 1, 1, 1])
@@ -218,7 +229,7 @@ class NdiPolynomial:
 
     def terms(self) -> dict[int, int]:
         """The nonzero coefficients, in ascending degree order."""
-        width = len(self.cells) + 4
+        width = self.pack_width
         return _terms(self.include(width, math.inf)[0], width, self.degree + 1)
 
     def dense(self) -> list[int]:
@@ -233,7 +244,7 @@ class NdiPolynomial:
         the cells one past the smaller horizon are included. Equal in full: EQUAL."""
         if self.lo != other.lo:
             return LESS if self.lo < other.lo else GREATER
-        width, upto = max(len(self.cells), len(other.cells)) + 4, self.lo
+        width, upto = max(self.pack_width, other.pack_width), self.lo
         while True:
             (x, hx), (y, hy) = self.include(width, upto), other.include(width, upto)
             z, horizon = x - y, min(hx, hy)
@@ -244,6 +255,29 @@ class NdiPolynomial:
             elif horizon == math.inf:
                 return EQUAL
             upto = horizon + 1
+
+    def prefix(self, width: int) -> tuple:
+        """(-lo, -R), R being r's coefficients of degrees 0..2*lo as one
+        integer at width (at least pack_width), degree 0 its highest digit:
+        integer order is their lexicographic order. Each product is packed
+        downwards from bit top*width, top one past min(2*lo, degree),
+        `v -= v >> s*width` per cell below top. A shift's floor errs by less
+        than 1 in the degree-top digit, and the cells' errors stay far below
+        half a digit, so rounding that digit off leaves every degree kept
+        exact; the zeros above the degree are shifted in, so that keys of
+        any degree compare. An empty class (lo infinite) gives a constant."""
+        if self.lo == math.inf:
+            return -math.inf, 0
+        top = min(2 * self.lo, self.degree) + 1
+        o = [1 << top * width] * 3
+        for cell in self.cells:
+            s, side = cell >> 1, cell & 1
+            if s >= top:
+                break
+            o[side] -= o[side] >> s * width
+            o[2] -= o[2] >> s * width
+        r = (o[0] + o[1] - o[2] + (1 << width - 1)) >> width
+        return -self.lo, -r << (2 * self.lo + 1 - top) * width
 
     def __eq__(self, other) -> bool:
         return type(other) is NdiPolynomial and self.compare(other) == EQUAL
@@ -286,6 +320,7 @@ class ClosedCoefficients:
     mu: tuple[int, ...] = field(default=(), compare=False, repr=False)
     empty: int = field(default=0, compare=False, repr=False)
     items: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    pack_width = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", {k: c for k, c in sorted(self.coeffs.items()) if c})
@@ -310,6 +345,11 @@ class ClosedCoefficients:
 
     def compare(self, other: "ClosedCoefficients") -> int:
         return _compare_terms(self.coeffs, other.coeffs)
+
+    def prefix(self, width: int) -> tuple[tuple[int, ...], ...]:
+        """One tuple per nonzero term (k, c), (0, k, -c) when c > 0 and
+        (2, -k, -c) when c < 0, then the end (1,): complete."""
+        return (*((0, k, -c) if c > 0 else (2, -k, -c) for k, c in self.coeffs.items()), (1,))
 
     def describe(self) -> str:
         return _describe_terms(self.coeffs)
@@ -543,6 +583,32 @@ class OrderKey:
         return (-self.support, self.items) < (-other.support, other.items)
 
 
+class _Tied:
+    """An OrderKey as the last element of a sort key: its equality is
+    identity, so tuple comparison reaches its order only on a tie before it."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: OrderKey):
+        self.key = key
+
+    def __lt__(self, other: "_Tied") -> bool:
+        return self.key < other.key
+
+
+def sort_keys(entries, key=None) -> list:
+    """Entries in ranking order of their OrderKeys (key(entry), or the entries
+    themselves), as sorted() would give them. Each entry sorts by its score's
+    exact prefix at one width for all, the most any score needs, compared in
+    C; only entries whose prefixes tie reach OrderKey.__lt__, that is compare
+    and the tie-breaks."""
+    get = key or (lambda entry: entry)
+    entries = list(entries)
+    width = max((get(entry).payload.pack_width for entry in entries), default=0)
+    entries.sort(key=lambda entry: (get(entry).payload.prefix(width), _Tied(get(entry))))
+    return entries
+
+
 def compare_keys(a: OrderKey, b: OrderKey) -> int:
     """LESS means a is less robust than b near alpha = 1 (ties not broken).
     ndi keys include no cell above their first difference (all of them only
@@ -571,7 +637,7 @@ def rank(db: TransactionDatabase, itemsets, kind: PredicateKind,
     then lexicographic itemset. Deterministic for identical inputs."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
         closed_family = ClosedFamilyIndex.of(closed_family, db.n_items)
-    keys = sorted(order_key(db, it, kind, closed_family) for it in itemsets)
+    keys = sort_keys(order_key(db, it, kind, closed_family) for it in itemsets)
     return [(k.items, k) for k in keys]
 
 

@@ -448,6 +448,19 @@ def test_rank_distance_stdout_matches_golden(capsys, tmp_path):
             (0, (GOLDEN / name).read_text(), ""), name
 
 
+def test_mine_stdout_matches_golden(capsys, tmp_path):
+    # D7 (dense-closed's shape): each level is printed most robust first, so
+    # these pin the within-level order of every member, ties included
+    db = random_db(7, 200, 14, 0.5)
+    path = tmp_path / "d7.fimi"
+    path.write_text("".join(" ".join(map(str, db.row_items(j))) + "\n" for j in range(len(db))))
+    for predicate in ("free", "ndi", "ts"):
+        name = f"mine_d7_{predicate}.tsv"
+        assert run(capsys, "mine", "--input", str(path), "--predicate", predicate,
+                   "--min-support", "10", "--alpha", "0.5") == \
+            (0, (GOLDEN / name).read_text(), ""), name
+
+
 def test_argparse_errors_exit_2(capsys, toy_path):
     assert run(capsys, "mine", "--input", toy_path, "--predicate", "frequent",
                "--alpha", "0.5")[0] == 2

@@ -186,18 +186,20 @@ def long_db():
     return random_db(1, 20000, 30, 0.15)
 
 
-@pytest.mark.parametrize("kind, run", [
-    (PredicateKind.FREE, mine_robust),
-    (PredicateKind.FREE, lambda db, config: deque(mining.levelwise(db, config), maxlen=0)),
+@pytest.mark.parametrize("kind, run, bound", [
+    (PredicateKind.FREE, mine_robust, 2.5),
+    (PredicateKind.FREE, lambda db, config: deque(mining.levelwise(db, config), maxlen=0), 2.5),
     (PredicateKind.NON_DERIVABLE, lambda db, config: deque(mining.levelwise(db, config),
-                                                           maxlen=0)),
-], ids=["free-mine_robust", "free-walk", "ndi-walk"])
-def test_long_input_walk_keeps_one_level_of_tidsets(long_db, kind, run):
+                                                           maxlen=0), 2.5),
+    (PredicateKind.NON_DERIVABLE, mine_robust, 4),
+], ids=["free-mine_robust", "free-walk", "ndi-walk", "ndi-mine_robust"])
+def test_long_input_walk_keeps_one_level_of_tidsets(long_db, kind, run, bound):
     # 20,000 rows at min support 200: level 2's 435 survivors are kept with
     # their tidsets (2.5 KB each), and level 3's 4,060 candidates, none of
     # which reaches min support, are counted from them without a tidset each.
-    # ndi's mine_robust is not bounded here: its packed level-2 keys outweigh
-    # the walk's state.
+    # ndi's mine_robust also holds level 2's sort prefixes, each packing its
+    # polynomial only up to twice its lo, and the states of the keys whose
+    # prefixes tie.
     config = MiningConfig(kind, alpha=0.5, min_support=200)
     one_level = 435 * len(long_db) // 8
     tracemalloc.start()
@@ -206,7 +208,7 @@ def test_long_input_walk_keeps_one_level_of_tidsets(long_db, kind, run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * one_level
+    assert peak < bound * one_level
     assert [len(m.items) for m in mine_robust(long_db, config)] == [1] * 30 + [2] * 435
 
 
