@@ -2,7 +2,8 @@
 
 Freeness, non-derivability and total shattering are downward closed and
 their robustness only drops when items are added, so the classic
-candidate-join / subset-prune loop applies to the robustness filter too.
+candidate-join / subset-prune loop applies to the robustness filter too, and
+top_k prunes the same walk by a rising bound on the ranking key.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase
-from .ordering import (ClosedFamilyIndex, OrderKey, check_probability, order_key, score_of,
-                       sort_keys)
+from .ordering import (LESS, ClosedFamilyIndex, OrderKey, check_probability, compare_keys,
+                       order_key, score_of, sort_keys)
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 
 
@@ -47,7 +48,16 @@ class MinedItemset:
     robustness: float
 
 
-def levelwise(db: TransactionDatabase, config: MiningConfig):
+def check_size_window(min_size: int, max_size: int | None) -> None:
+    """The one check of an itemset size window [min_size, max_size] (max_size
+    None: unbounded), for mine, rank and every kind."""
+    if min_size < 0:
+        raise ValueError(f"min size must be >= 0, got {min_size}")
+    if max_size is not None and max_size < min_size:
+        raise ValueError(f"max size must be >= {min_size}, got {max_size}")
+
+
+def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
     """The Apriori walk behind every non-closed miner. A candidate survives
     when its support reaches min_support, the predicate holds and its
     robustness at alpha reaches rho. Members are yielded as (items, support,
@@ -67,6 +77,12 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     classes, and the score is built from them (score_of): its value at alpha
     is the robustness. Only the supports and tidsets of one level's
     survivors are kept, for the next level's join.
+
+    prune, when given, is called as prune(items, support, score) once a
+    candidate's score is built; a true result drops the candidate like a
+    failed predicate, so it never joins and none of its supersets is
+    generated. top_k prunes by its rising key bound; every other caller
+    walks the whole family.
     """
     kind = config.kind
     if kind is PredicateKind.CLOSED:
@@ -75,8 +91,7 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
     rho = check_probability(config.rho, "rho")
     tau = resolve_min_support(config.min_support, len(db))
     max_size = config.max_size
-    if max_size is not None and max_size < 0:
-        raise ValueError(f"max size must be >= 0, got {max_size}")
+    check_size_window(0, max_size)
     cols, dlen = dict(db.columns()), len(db)
 
     def keep(items, t, supports):
@@ -91,6 +106,8 @@ def levelwise(db: TransactionDatabase, config: MiningConfig):
         if not evaluate_predicate(db, items, kind, classes):
             return None
         sc = score_of(classes, dlen)
+        if prune is not None and prune(items, s, sc):
+            return None
         r = sc.value(alpha)
         return (items, s, r, classes, sc) if r >= rho else None
 
@@ -184,12 +201,14 @@ def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int,
 def family_keys(db: TransactionDatabase, kind: PredicateKind, min_support=1,
                 max_size: int | None = None, include_empty: bool = False,
                 min_size: int = 0) -> list[OrderKey]:
-    """The ranking keys of a kind's family, members of min_size to max_size
-    items with support >= min_support, in mining order: closed mined at
-    min_support (at least 1) and keyed over the index of that family; every
-    other kind walked levelwise, keyed by the scores the walk built. The
-    empty itemset takes part for non-closed kinds when include_empty is set,
-    min_size is 0 and it passes the filters."""
+    """The ranking keys of a kind's whole family, members of min_size to
+    max_size items with support >= min_support, in mining order: closed
+    mined at min_support (at least 1) and keyed over the index of that
+    family; every other kind walked levelwise, unpruned, keyed by the scores
+    the walk built. The empty itemset takes part for non-closed kinds when
+    include_empty is set, min_size is 0 and it passes the filters. walk_orders
+    and closed top_k read every member; free, ndi and ts top_k walk under a
+    key bound instead, and this stays their unbounded reference."""
     tau = resolve_min_support(min_support, len(db))
     if kind is PredicateKind.CLOSED:
         family = mine_closed(db, max(tau, 1))
@@ -209,23 +228,66 @@ class RankedPattern:
     key: OrderKey
 
 
+class _RisingBound:
+    """top_k's prune hook for a downward-closed kind (free, ndi, ts): a
+    superset's robustness is at most its subset's at every alpha, so its key
+    never sorts above the subset's. `best` buffers the best keys seen of at
+    least min_size items; at 2k, and when the walk starts a new level,
+    sort_keys cuts it back to k, and its k-th key is the bound (a k covering
+    the family never cuts it). A candidate whose key compares strictly LESS
+    than the bound is dropped: neither it nor any superset can place. An
+    EQUAL key stays, as the support and itemset tie-breaks are not monotone.
+    Members below min_size are pruned by the bound but do not fill `best`."""
+
+    def __init__(self, kind: PredicateKind, k: int, min_size: int):
+        self.kind, self.k, self.min_size = kind, k, min_size
+        self.best, self.bound, self.level = [], None, 0
+
+    def cut(self) -> None:
+        if len(self.best) > self.k:
+            self.best = sort_keys(self.best)[:self.k]
+            self.bound = self.best[-1]
+
+    def __call__(self, items, support: int, sc) -> bool:
+        if len(items) > self.level:
+            self.level = len(items)
+            self.cut()
+        key = OrderKey(self.kind, sc, support, items)
+        if self.bound is not None and compare_keys(key, self.bound) == LESS:
+            return True
+        if len(items) >= self.min_size:
+            self.best.append(key)
+            if len(self.best) >= 2 * self.k:
+                self.cut()
+        return False
+
+
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None,
           include_empty: bool = True) -> list[RankedPattern]:
-    """The k most robust members of the predicate family, whose keys
-    family_keys builds. Fewer than the family are selected, not sorted: their
-    order is total (the tie-break compares unique itemsets), so the k
-    smallest are the sorted family's first k, and selecting a few compares
-    far fewer keys than building every key's prefix would cost. A k that
-    covers the family sorts it through sort_keys.
+    """The k most robust members of the predicate family, ranked as
+    sort_keys(family_keys(...))[:k] ranks them. Free, ndi and ts walk under
+    a rising key bound (_RisingBound, TFP's rising threshold applied to the
+    key order) and sort the keys left. Closed keys its whole family and
+    selects k with heapq.nsmallest, cheaper than building every key's
+    prefix for a full sort: the order is total (the last tie-break compares
+    unique itemsets), so the k smallest are the sorted family's first k.
     """
-    import heapq  # imported here: at module level it would add to every command's start-up
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if min_size < 0 or (max_size is not None and max_size < min_size):
-        raise ValueError(f"bad size window [{min_size}, {max_size}]")
-    keys = family_keys(db, kind, min_support, max_size, include_empty, min_size)
-    chosen = heapq.nsmallest(k, keys) if k < len(keys) else sort_keys(keys)
+    check_size_window(min_size, max_size)
+    if kind is PredicateKind.CLOSED:
+        import heapq  # imported here: at module level it would add to every command's start-up
+
+        keys = family_keys(db, kind, min_support, max_size, include_empty, min_size)
+        chosen = heapq.nsmallest(k, keys) if k < len(keys) else sort_keys(keys)
+    else:
+        bound = _RisingBound(kind, k, min_size)
+        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
+                                          max_size=max_size, include_empty=include_empty),
+                         bound)
+        for _ in walk:  # the members are in bound.best
+            pass
+        chosen = sort_keys(bound.best)[:k]
     return [RankedPattern(pos, key.items, key.support, key)
             for pos, key in enumerate(chosen, start=1)]

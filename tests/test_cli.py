@@ -110,11 +110,21 @@ def test_rank_size_window(capsys, toy_path):
 
 
 def test_negative_max_size_exits_2(capsys, toy_path):
-    for extra, message in ((("mine", "--alpha", "0.5"), "max size must be >= 0"),
-                           (("rank",), "bad size window")):
-        code, out, err = run(capsys, *extra, "--input", toy_path, "--predicate", "free",
-                             "--max-size", "-1")
-        assert code == 2 and out == "" and message in err, extra
+    # one size-window check serves both commands and every kind they take
+    commands = [("mine", "--alpha", "0.5", "--predicate", p) for p in ("free", "ndi", "ts")]
+    commands += [("rank", "--predicate", p) for p in ("free", "ndi", "ts", "closed")]
+    for command in commands:
+        assert run(capsys, *command, "--input", toy_path, "--max-size", "-1") == \
+            (2, "", "robustmine: error: max size must be >= 0, got -1\n"), command
+
+
+def test_rank_empty_size_window_exits_2(capsys, toy_path):
+    for window, message in ((("--min-size", "-1"), "min size must be >= 0, got -1"),
+                            (("--min-size", "3", "--max-size", "2"),
+                             "max size must be >= 3, got 2")):
+        for predicate in ("free", "ndi", "ts", "closed"):
+            assert run(capsys, "rank", "--input", toy_path, "--predicate", predicate,
+                       *window) == (2, "", f"robustmine: error: {message}\n"), window
 
 
 def test_rank_json(capsys, toy_path, labels_path):
@@ -458,6 +468,21 @@ def test_mine_stdout_matches_golden(capsys, tmp_path):
         name = f"mine_d7_{predicate}.tsv"
         assert run(capsys, "mine", "--input", str(path), "--predicate", predicate,
                    "--min-support", "10", "--alpha", "0.5") == \
+            (0, (GOLDEN / name).read_text(), ""), name
+
+
+def test_rank_stdout_matches_golden(capsys, tmp_path):
+    # recorded while rank still walked and keyed the whole family before
+    # selecting k: the bounded walk prints the same rows; D7's ndi singletons
+    # share one key, so support and itemset decide among the top rows
+    db = random_db(7, 200, 14, 0.5)
+    path = tmp_path / "d7.fimi"
+    path.write_text("".join(" ".join(map(str, db.row_items(j))) + "\n" for j in range(len(db))))
+    cases = [(f"rank_d7_{p}.tsv", p, ()) for p in ("free", "ndi", "ts")]
+    cases.append(("rank_d7_ndi_min2_top25.tsv", "ndi", ("--min-size", "2", "--top-k", "25")))
+    for name, predicate, extra in cases:
+        assert run(capsys, "rank", "--input", str(path), "--predicate", predicate,
+                   "--min-support", "10", *extra) == \
             (0, (GOLDEN / name).read_text(), ""), name
 
 
