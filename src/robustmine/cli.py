@@ -15,7 +15,7 @@ import sys
 
 from .dataset import FimiParseError, TransactionDatabase, load_fimi, load_labels
 from .experiments import compliance, noise_mix, rank_distance, sweep, walk_orders
-from .mining import MiningConfig, mine_robust, resolve_min_support, top_k
+from .mining import MiningConfig, check_size_window, mine_robust, resolve_min_support, top_k
 from .oracle import EXHAUSTIVE_LIMIT, exhaustive_robustness, monte_carlo_robustness
 from .ordering import comparison_exact
 from .ordering import rank as rank_itemsets  # noqa: F401  (perfbench's tracer test reads it)
@@ -117,6 +117,7 @@ def cmd_mine(args) -> int:
     alpha = _alpha_in_range(args)
     if not 0.0 <= args.rho <= 1.0:
         raise CliError(2, f"--rho must be in [0, 1], got {args.rho}")
+    check_size_window(0, args.max_size)
     db = _load_db(args)
     config = MiningConfig(kind, alpha=alpha, rho=args.rho, min_support=args.min_support,
                           max_size=args.max_size, include_empty=args.include_empty)
@@ -134,6 +135,7 @@ def cmd_rank(args) -> int:
     kind = PredicateKind.parse(args.predicate)
     if args.top_k < 1:
         raise CliError(2, f"--top-k must be >= 1, got {args.top_k}")
+    check_size_window(args.min_size, args.max_size)
     db = _load_db(args)
     labels = None
     if args.labels:

@@ -9,6 +9,7 @@ top_k prunes the same walk by a rising bound on the ranking key.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -198,6 +199,28 @@ def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int,
     return out
 
 
+def _closed_keys(db: TransactionDatabase, min_support, min_size: int, max_size: int | None,
+                 k: int | None = None) -> list[OrderKey]:
+    """Keys of the closed members of min_size to max_size items, mined at min_support
+    (at least 1), over their index: all, or for k below their number those whose lead
+    (ClosedFamilyIndex.lead) is at most the k-th, as a lead after k leads is a key after
+    k keys. Leads are read full itemset first, then by support s descending: as g <= s,
+    once ((0, 0, -1), (2, -s)) sorts after the k-th lead the rest cannot place."""
+    tau = max(resolve_min_support(min_support, len(db)), 1)
+    family = mine_closed(db, tau)
+    index = ClosedFamilyIndex(family, db.n_items, min_support=tau)
+    window = [(it, s) for it, s in family
+              if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
+    if k is not None and k < len(window):
+        leads = []  # (lead, itemset, support), ascending
+        for it, s in sorted(window, key=lambda m: (len(m[0]) < db.n_items, -m[1])):
+            if len(leads) >= k and ((0, 0, -1), (2, -s)) > leads[k - 1][0]:
+                break
+            insort(leads, (index.lead(it), it, s))
+        window = [(it, s) for lead, it, s in leads if lead <= leads[k - 1][0]]
+    return [order_key(db, it, PredicateKind.CLOSED, index) for it, _ in window]
+
+
 def family_keys(db: TransactionDatabase, kind: PredicateKind, min_support=1,
                 max_size: int | None = None, include_empty: bool = False,
                 min_size: int = 0) -> list[OrderKey]:
@@ -207,15 +230,11 @@ def family_keys(db: TransactionDatabase, kind: PredicateKind, min_support=1,
     family; every other kind walked levelwise, unpruned, keyed by the scores
     the walk built. The empty itemset takes part for non-closed kinds when
     include_empty is set, min_size is 0 and it passes the filters. walk_orders
-    and closed top_k read every member; free, ndi and ts top_k walk under a
-    key bound instead, and this stays their unbounded reference."""
-    tau = resolve_min_support(min_support, len(db))
+    reads every member; top_k keys only those that can place, and this stays
+    its unbounded reference."""
     if kind is PredicateKind.CLOSED:
-        family = mine_closed(db, max(tau, 1))
-        index = ClosedFamilyIndex(family, db.n_items, min_support=max(tau, 1))
-        return [order_key(db, it, kind, index) for it, _ in family
-                if min_size <= len(it) and (max_size is None or len(it) <= max_size)]
-    walk = levelwise(db, MiningConfig(kind, 1.0, min_support=tau, max_size=max_size,
+        return _closed_keys(db, min_support, min_size, max_size)
+    walk = levelwise(db, MiningConfig(kind, 1.0, min_support=min_support, max_size=max_size,
                                       include_empty=include_empty))
     return [OrderKey(kind, sc, s, items) for items, s, _, _, sc in walk if len(items) >= min_size]
 
@@ -266,21 +285,16 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None,
           include_empty: bool = True) -> list[RankedPattern]:
     """The k most robust members of the predicate family, ranked as
-    sort_keys(family_keys(...))[:k] ranks them. Free, ndi and ts walk under
-    a rising key bound (_RisingBound, TFP's rising threshold applied to the
-    key order) and sort the keys left. Closed keys its whole family and
-    selects k with heapq.nsmallest, cheaper than building every key's
-    prefix for a full sort: the order is total (the last tie-break compares
-    unique itemsets), so the k smallest are the sorted family's first k.
+    sort_keys(family_keys(...))[:k] ranks them, keying only members that can place:
+    free, ndi and ts walk under a rising key bound (_RisingBound, TFP's rising threshold
+    applied to the key order), closed keys those whose leads reach the k-th lead
+    (_closed_keys). The keys left go through sort_keys.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_size_window(min_size, max_size)
     if kind is PredicateKind.CLOSED:
-        import heapq  # imported here: at module level it would add to every command's start-up
-
-        keys = family_keys(db, kind, min_support, max_size, include_empty, min_size)
-        chosen = heapq.nsmallest(k, keys) if k < len(keys) else sort_keys(keys)
+        keys = _closed_keys(db, min_support, min_size, max_size, k)
     else:
         bound = _RisingBound(kind, k, min_size)
         walk = levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
@@ -288,6 +302,6 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
                          bound)
         for _ in walk:  # the members are in bound.best
             pass
-        chosen = sort_keys(bound.best)[:k]
+        keys = bound.best
     return [RankedPattern(pos, key.items, key.support, key)
-            for pos, key in enumerate(chosen, start=1)]
+            for pos, key in enumerate(sort_keys(keys)[:k], start=1)]

@@ -440,6 +440,15 @@ class ClosedFamilyIndex:
             sup ^= low
         return tuple(out)
 
+    def lead(self, x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Member x's prefix's first two tuples, from its supersets alone: (0, 0, -1) for
+        x, then (2, -g, c) for the c covers (mu = -1) at the largest proper superset
+        support, supp(x) - g, or the end (1,) when x is the full itemset."""
+        own, *rest = self.supersets(x)
+        supports = [self.supports[p] for p in rest]
+        top = max(supports, default=0)
+        return (0, 0, -1), (2, top - self.supports[own], supports.count(top)) if rest else (1,)
+
     def subsets(self, p: int) -> int:
         """Bitset of the positions whose members are subsets of the member Y
         at p, p included: the positions up to p that hold as many of Y's items

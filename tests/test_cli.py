@@ -127,6 +127,22 @@ def test_rank_empty_size_window_exits_2(capsys, toy_path):
                        *window) == (2, "", f"robustmine: error: {message}\n"), window
 
 
+def test_size_window_is_checked_before_the_input_is_read(capsys, tmp_path):
+    # a bad window is a bad argument (exit 2) even when the input cannot be read
+    missing = str(tmp_path / "missing.fimi")
+    cases = [(("mine", "--predicate", "free", "--alpha", "0.5", "--max-size", "-1"),
+              "max size must be >= 0, got -1")]
+    cases += [(("rank", "--predicate", p, *window), message) for p in ("free", "closed")
+              for window, message in ((("--max-size", "-1"), "max size must be >= 0, got -1"),
+                                      (("--min-size", "-1"), "min size must be >= 0, got -1"),
+                                      (("--min-size", "3", "--max-size", "2"),
+                                       "max size must be >= 3, got 2"))]
+    for argv, message in cases:
+        assert run(capsys, *argv, "--input", missing) == \
+            (2, "", f"robustmine: error: {message}\n"), argv
+    assert run(capsys, "rank", "--predicate", "free", "--input", missing)[0] == 1
+
+
 def test_rank_json(capsys, toy_path, labels_path):
     code, out, _ = run(capsys, "rank", "--input", toy_path, "--predicate", "closed",
                        "--top-k", "2", "--format", "json", "--labels", labels_path)

@@ -1,6 +1,7 @@
-"""top_k ranks only what it must: free, ndi and ts walk under a rising key
-bound, closed selects its k rows from the keyed family. Either way the rows
-are the sorted family's prefix, ties included."""
+"""top_k keys only what can place: free, ndi and ts walk under a rising key
+bound; closed reads each member's lead, its prefix's first two tuples, from
+the family index and keys only the members whose lead reaches the k-th.
+Either way the rows are the sorted family's prefix, ties included."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ import robustmine.ordering as ordering
 from conftest import databases, random_db
 from robustmine import (EQUAL, GREATER, LESS, PredicateKind, TransactionDatabase, compare_keys,
                         top_k)
-from robustmine.mining import family_keys
-from robustmine.ordering import sort_keys
+from robustmine.mining import family_keys, mine_closed
+from robustmine.ordering import ClosedFamilyIndex, closed_coefficients, sort_keys
 
 BOUNDED = (PredicateKind.FREE, PredicateKind.NON_DERIVABLE, PredicateKind.TOTALLY_SHATTERED)
 
@@ -159,3 +160,88 @@ def test_top_ten_of_a_large_family_compares_few_keys(monkeypatch):
         top_k(db, kind, 10, min_support=tau)
         monkeypatch.undo()
         assert calls[0] < 2 * n, (kind, n, calls[0])
+
+
+CLOSED = PredicateKind.CLOSED
+
+
+def closed_index(db, tau):
+    family = mine_closed(db, tau)
+    return family, ClosedFamilyIndex(family, db.n_items, min_support=tau)
+
+
+@settings(max_examples=80, deadline=None)
+@given(databases(), st.integers(1, 3))
+def test_lead_is_the_prefix_start(case, tau):
+    db = TransactionDatabase(*case)
+    family, index = closed_index(db, tau)
+    for items, supp in family:
+        assert index.lead(items) == closed_coefficients(items, index, supp).prefix(0)[:2], items
+
+
+def test_lead_of_a_closed_full_itemset_ends():
+    # 9 rows hold 0 and one holds 0 1, the full itemset: it never fails, so it
+    # ranks first although the walk by support reaches (0,) first
+    db = TransactionDatabase([[0]] * 9 + [[0, 1]])
+    family, index = closed_index(db, 1)
+    assert family == [((0,), 10), ((0, 1), 1)]
+    assert index.lead((0, 1)) == ((0, 0, -1), (1,))
+    assert index.lead((0,)) == ((0, 0, -1), (2, -9, 1))
+    assert [p.items for p in top_k(db, CLOSED, 1)] == [(0, 1)]
+
+
+def test_lead_gap_reaches_the_empty_full_itemset_below_tau():
+    # (0, 1) and (0, 2) have support 2, below tau 3: (0,)'s one superset left
+    # is the full itemset with support 0, so g = supp((0,)) = 7
+    db = TransactionDatabase([[0, 1]] * 2 + [[0, 2]] * 2 + [[0]] * 3)
+    family, index = closed_index(db, 3)
+    assert family == [((0,), 7)]
+    assert index.lead((0,)) == ((0, 0, -1), (2, -7, 1))
+    assert index.lead((0,)) == closed_coefficients((0,), index, 7).prefix(0)[:2]
+
+
+def test_members_tied_at_the_kth_lead_are_all_keyed():
+    # (8,), (0,), (6,) and (1,) share the lead (2, -4, 1): one cover four
+    # rows below them. (8,) has the larger support, (0,) and (6,) the same
+    # polynomial and support, and (1,)'s deeper terms place it last. Four
+    # members with larger gaps rank first, so the tie spans places 5 to 8
+    transactions = ([[0, 3]] * 6 + [[0]] * 4 + [[6, 7]] * 6 + [[6]] * 4 + [[8, 9]] * 7 + [[8]] * 4
+                    + [[1, 4, 5]] + [[1, 4]] * 5 + [[1, 5]] * 2 + [[1]] * 2)
+    db = TransactionDatabase(transactions)
+    family, index = closed_index(db, 1)
+    ranking = [(pos, key.items, key.support, key.describe())
+               for pos, key in enumerate(sort_keys(family_keys(db, CLOSED)), start=1)]
+    tied = [(8,), (0,), (6,), (1,)]
+    assert [items for _, items, _, _ in ranking[4:8]] == tied
+    assert {index.lead(items) for items in tied} == {((0, 0, -1), (2, -4, 1))}
+    assert [r[2:] for r in ranking[4:8]] == [(11, "0:1,4:-1"), (10, "0:1,4:-1"),
+                                             (10, "0:1,4:-1"), (10, "0:1,4:-1,7:-1,9:1")]
+    for k in range(1, len(ranking) + 2):
+        assert rows(top_k(db, CLOSED, k)) == ranking[:k], k
+
+
+def count_closed_keys(monkeypatch):
+    calls = [0]
+    coefficients = ordering.closed_coefficients
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(ordering, "closed_coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape, tau, most", (((7, 200, 14, 0.5), 10, 15),
+                                              ((1, 5000, 30, 0.15), 50, 12)))
+def test_closed_top_ten_keys_few_members(monkeypatch, shape, tau, most):
+    # D7 reads 114 leads of 2,064 members and keys 11; W1 reads 30 of 465 and keys 10
+    db = random_db(*shape)
+    members = len(mine_closed(db, tau))
+    assert members > 400
+    calls = count_closed_keys(monkeypatch)
+    assert len(top_k(db, CLOSED, 10, tau)) == 10
+    assert calls[0] <= most, (members, calls[0])
+    calls[0] = 0
+    assert len(top_k(db, CLOSED, members, tau)) == members
+    assert calls[0] == members
