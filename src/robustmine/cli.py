@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -297,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--max-size", type=int, default=None, help="largest itemset size")
     m.add_argument("--include-empty", action="store_true",
                    help="also report the empty itemset when it qualifies")
-    m.set_defaults(func=cmd_mine)
 
     r = sub.add_parser("rank", help="rank a predicate family, most robust first, without alpha")
     _add_common(r)
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--include-empty", action="store_true",
                    help="let the empty itemset compete (free/ndi/ts)")
     r.add_argument("--labels", default=None, help="optional 'id<TAB>label' sidecar")
-    r.set_defaults(func=cmd_rank)
 
     v = sub.add_parser("verify", help="check one analytic score against an oracle")
     _add_common(v, with_format=False)
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, default=100000, help="mc sample count")
     v.add_argument("--seed", type=int, default=0, help="mc seed")
     v.add_argument("--output", default="-", help="output path, '-' for stdout")
-    v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("experiment", help="reproducible experiment protocols")
     esub = e.add_subparsers(dest="experiment", required=True)
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rhos", type=_grid, default=_grid("0.1:0.9:0.1"),
                    metavar="A:B:STEP|LIST", help="rho grid (default 0.1:0.9:0.1)")
     s.add_argument("--min-support", type=_min_support, default=1, metavar="N|F")
-    s.set_defaults(func=cmd_experiment_sweep)
 
     nz = esub.add_parser("noise", help="closed-ranking stability under synthetic noise")
     _add_common(nz)
@@ -344,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     nz.add_argument("--min-support", type=_min_support, default=1, metavar="N|F")
     nz.add_argument("--top-k", type=int, default=0,
                     help="limit compliance report to the first K rows (0 = all)")
-    nz.set_defaults(func=cmd_experiment_noise)
 
     rd = esub.add_parser("rank-distance",
                          help="discordance between alpha-based and parameter-free rankings")
@@ -353,15 +349,21 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--alpha", type=float, required=True)
     rd.add_argument("--min-support", type=_min_support, default=1, metavar="N|F")
     rd.add_argument("--include-empty", action="store_true")
-    rd.set_defaults(func=cmd_experiment_rank_distance)
 
     return p
 
 
+# built once per process: each add_argument sizes a help formatter, about
+# 1 ms in all, and parse_args changes no parser state
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:  # a grid over GRID_POINT_LIMIT raises CliError from inside parse_args
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up by name at call time, so that a replaced cmd_* is the one run
+        command = "_".join(filter(None, (args.command, vars(args).get("experiment"))))
+        return globals()["cmd_" + command.replace("-", "_")](args)
     except SystemExit as e:
         return int(e.code or 0)
     except (CliError, OSError, ValueError) as e:

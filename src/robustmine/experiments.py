@@ -13,9 +13,8 @@ from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
 from .mining import MiningConfig, family_keys, levelwise, mine_closed, resolve_min_support
-from .ordering import ClosedFamilyIndex, check_probability, rank, score, sort_keys
+from .ordering import ClosedFamilyIndex, check_probability, rank, score, sort_keys, values_at
 from .predicates import PredicateKind
-from .robustness import robustness
 
 
 @dataclass(frozen=True)
@@ -35,16 +34,16 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
 
     The predicate family is independent of alpha, so it is walked once at
     alpha = 1, each member's score is built once, and the grid only
-    re-thresholds its values: sorted once per alpha, the count at
-    rho is the number of values >= rho, one bisection. Counts equal a literal
-    mine_robust run at every grid point.
+    re-thresholds its values: one values_at batch per alpha, sorted, and the
+    count at rho is the number of values >= rho, one bisection. Counts equal
+    a literal mine_robust run at every grid point.
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
     scores = [sc for *_, sc in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
     counts = {}
     for a in alphas:
-        values = sorted(sc.value(a) for sc in scores)
+        values = sorted(values_at(scores, a))
         for r in rhos:
             counts[(a, r)] = len(values) - bisect_left(values, r)
     return SweepResult(kind, alphas, rhos, counts)
@@ -123,11 +122,12 @@ def rank_distance(bucketed, other) -> float:
 def robustness_bucket_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
                             alpha: float, closed_family=None) -> list[list[tuple[int, ...]]]:
     """Itemsets grouped by numeric robustness at one alpha, most robust first;
-    equal values share a bucket."""
+    equal values share a bucket. The scores are valued in one batch."""
     if kind is PredicateKind.CLOSED and closed_family is not None:
         closed_family = ClosedFamilyIndex.of(closed_family, db.n_items)
-    return _buckets((it, robustness(db, it, kind, alpha, closed_family=closed_family))
-                    for it in map(canon_items, itemsets))
+    itemsets = list(map(canon_items, itemsets))
+    scores = [score(db, it, kind, closed_family) for it in itemsets]
+    return _buckets(zip(itemsets, values_at(scores, alpha)))
 
 
 def _buckets(scored) -> list[list[tuple[int, ...]]]:
@@ -144,13 +144,13 @@ def parameter_free_order(db: TransactionDatabase, itemsets, kind: PredicateKind,
 def walk_orders(db: TransactionDatabase, kind: PredicateKind, alpha: float, min_support=1,
                 include_empty: bool = False):
     """(robustness_bucket_order, parameter_free_order) of a kind's family from
-    its family_keys, each member scored once: a bucket value is its key's
-    value at alpha. Closed values need every closed superset, so above min
+    its family_keys, each member scored once and the scores valued at alpha in
+    one batch. Closed values need every closed superset, so above min
     support 1 the members are scored again over the threshold-1 family."""
     keys = family_keys(db, kind, min_support, include_empty=include_empty)
     scores = [key.payload for key in keys]
     if kind is PredicateKind.CLOSED and resolve_min_support(min_support, len(db)) > 1:
         complete = ClosedFamilyIndex(mine_closed(db, 1), db.n_items)
         scores = [score(db, key.items, kind, complete) for key in keys]
-    buckets = _buckets((key.items, sc.value(alpha)) for key, sc in zip(keys, scores))
+    buckets = _buckets(zip((key.items for key in keys), values_at(scores, alpha)))
     return buckets, [key.items for key in sort_keys(keys)]

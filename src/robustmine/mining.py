@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .dataset import TransactionDatabase
 from .ordering import (LESS, ClosedFamilyIndex, OrderKey, check_probability, compare_keys,
-                       order_key, score_of, sort_keys)
+                       order_key, score_of, sort_keys, values_at)
 from .predicates import PredicateKind, evaluate_predicate, survival_classes
 
 
@@ -76,8 +76,9 @@ def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
     supp(X), read from the supports of the level above; an ndi or ts
     candidate counts its one cell table. evaluate_predicate then tests those
     classes, and the score is built from them (score_of): its value at alpha
-    is the robustness. Only the supports and tidsets of one level's
-    survivors are kept, for the next level's join.
+    is the robustness. A level's passing candidates are valued in one batch
+    (values_at) before rho filters them. Only the supports and tidsets of one
+    level's survivors are kept, for the next level's join.
 
     prune, when given, is called as prune(items, support, score) once a
     candidate's score is built; a true result drops the candidate like a
@@ -95,43 +96,43 @@ def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
     check_size_window(0, max_size)
     cols, dlen = dict(db.columns()), len(db)
 
-    def keep(items, t, supports):
-        s = t.bit_count()
-        if s < tau:
-            return None
-        if kind is PredicateKind.FREE:  # each X - x survived one level up
-            classes = (tuple(supports[items[:j] + items[j + 1:]] - s
-                             for j in range(len(items))),)
-        else:
-            classes = survival_classes(db, items, kind)
-        if not evaluate_predicate(db, items, kind, classes):
-            return None
-        sc = score_of(classes, dlen)
-        if prune is not None and prune(items, s, sc):
-            return None
-        r = sc.value(alpha)
-        return (items, s, r, classes, sc) if r >= rho else None
+    def members(candidates, supports):
+        """(member, tidset) of the (items, tidset) candidates that survive."""
+        found = []
+        for items, t in candidates:
+            s = t.bit_count()
+            if s < tau:
+                continue
+            if kind is PredicateKind.FREE:  # each X - x survived one level up
+                classes = (tuple(supports[items[:j] + items[j + 1:]] - s
+                                 for j in range(len(items))),)
+            else:
+                classes = survival_classes(db, items, kind)
+            if evaluate_predicate(db, items, kind, classes):
+                sc = score_of(classes, dlen)
+                if prune is None or not prune(items, s, sc):
+                    found.append((items, s, classes, sc, t))
+        values = values_at([sc for *_, sc, _ in found], alpha)
+        return [((items, s, r, classes, sc), t)
+                for (items, s, classes, sc, t), r in zip(found, values) if r >= rho]
 
     # the level above: its survivors' supports (the free cells and the subset
     # prune) and tidsets (each candidate's prefix parent); the empty itemset
     # is level 1's one parent
     supports, tidsets = {(): len(db)}, {(): db.tidset(())}
-    if config.include_empty and (empty := keep((), tidsets[()], supports)):
-        yield empty
+    if config.include_empty:
+        yield from (member for member, _ in members([((), tidsets[()])], supports))
     seeds = range(db.n_items) if tau < 1 else sorted(cols)
     level = [(i,) for i in seeds]
     k = 1
     while level and (max_size is None or k <= max_size):
-        survivors, survivor_tidsets = {}, {}
-        for items in level:
-            t = tidsets[items[:-1]] & cols.get(items[-1], 0)
-            member = keep(items, t, supports)
-            if member is None:
-                continue
+        found = members(((items, tidsets[items[:-1]] & cols.get(items[-1], 0))
+                         for items in level), supports)
+        supports, tidsets = {}, {}
+        for member, t in found:
             if k > 1 or member[1]:
-                survivors[items], survivor_tidsets[items] = member[1], t
+                supports[member[0]], tidsets[member[0]] = member[1], t
             yield member
-        supports, tidsets = survivors, survivor_tidsets
         # survivors keep the level's lexicographic order, so itemsets sharing
         # all but their last item are adjacent and the candidates come out
         # sorted; dropping either of a candidate's last two items gives a or b

@@ -9,6 +9,8 @@ vector, sorted cell counts whose order never expands a polynomial, and
 non-derivability scores include only the cells below their first difference.
 A full sort compares each score's exact prefix (prefix(width)) first, in C,
 and compares in Python only the pairs whose prefixes tie (sort_keys).
+values_at reads a batch's values from one table, built per call, of the survival
+factors 1 - beta**c, one per distinct cell count: bit for bit as lone values.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
+from operator import le
 
 from .dataset import TransactionDatabase, canon_items, support
 from .predicates import SURVIVAL_CLASSES, PredicateKind, survival_classes
@@ -42,19 +45,49 @@ def _checked(r: float) -> float:
     return min(1.0, max(0.0, r))
 
 
+class _Factors(dict):
+    """The survival factors of one batch at one alpha: 1 - beta**c per cell
+    count c, each computed on first use; a negative count is rejected."""
+
+    def __init__(self, alpha: float):
+        self.beta = 1.0 - check_probability(alpha)
+
+    def __missing__(self, c: int) -> float:
+        if c < 0:
+            raise ValueError(f"negative cell count {c}")
+        f = self[c] = 1.0 - self.beta ** c
+        return f
+
+
+def values_at(scores, alpha: float) -> list[float]:
+    """Each score's value at alpha, in order, from one factor table (_Factors):
+    a Margin is the product of its cells' factors, largest cell first; an
+    NdiPolynomial 1 - (1 - o(A))(1 - o(B)), each class product o taken
+    largest cell first; a closed score gives its own value. Each value is
+    _checked; a batch inside [0, 1] (NaN fails the test) is one check."""
+    factor = _Factors(alpha).__getitem__
+    values = []
+    for sc in scores:
+        if type(sc) is Margin:
+            values.append(math.prod(map(factor, sc[::-1]), start=1.0))
+        elif type(sc) is NdiPolynomial:
+            a, b = (math.prod(map(factor, sorted(c, reverse=True)), start=1.0)
+                    for c in sc.classes)
+            values.append(1.0 - (1.0 - a) * (1.0 - b))
+        else:
+            values.append(sc.value(alpha))
+    if all(map(le, repeat(0.0), values)) and all(map(le, values, repeat(1.0))):
+        return values
+    return list(map(_checked, values))
+
+
 def survival_probability(cells: Sequence[int], alpha: float) -> float:
     """Probability that every listed cell keeps at least one transaction.
 
     Each factor is 1 - (1-alpha)**count; an empty cell contributes 0
     ((1-alpha)**0 == 1 even at alpha = 1), an empty list gives 1.
     """
-    beta = 1.0 - check_probability(alpha)
-    prod = 1.0
-    for c in sorted(cells, reverse=True):
-        if c < 0:
-            raise ValueError(f"negative cell count {c}")
-        prod *= 1.0 - beta ** c
-    return _checked(prod)
+    return values_at((Margin(sorted(cells)),), alpha)[0]
 
 
 def _one_class(kind: PredicateKind, what: str):
@@ -99,7 +132,7 @@ class Margin(tuple):
     pack_width = 0
 
     def value(self, alpha: float) -> float:
-        return survival_probability(self, alpha)
+        return values_at((self,), alpha)[0]
 
     def prefix(self, width: int) -> tuple[int, ...]:
         """The negated cells: complete, a shorter vector sorting first."""
@@ -284,9 +317,7 @@ class NdiPolynomial:
 
     def value(self, alpha: float) -> float:
         """r at alpha, as 1 - (1 - o(A))(1 - o(B)) of the classes' survival probabilities."""
-        a, b = self.classes
-        return _checked(1.0 - (1.0 - survival_probability(a, alpha))
-                        * (1.0 - survival_probability(b, alpha)))
+        return values_at((self,), alpha)[0]
 
     def describe(self) -> str:
         return _describe_terms(self.terms())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -507,3 +510,43 @@ def test_argparse_errors_exit_2(capsys, toy_path):
                "--alpha", "0.5")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "rank", "--predicate", "free")[0] == 2
+
+
+def test_one_parser_serves_successive_calls(capsys, toy_path, monkeypatch):
+    # main() builds its parser once: calls with other grids and formats, and
+    # every --help, print what a fresh parser's run prints
+    monkeypatch.setenv("COLUMNS", "100")
+    sweep_args = ("experiment", "sweep", "--input", toy_path)
+    calls = [(*sweep_args, "--predicate", "free", "--alphas", "0.2,0.5", "--rhos", "0:1:0.5"),
+             (*sweep_args, "--predicate", "ts", "--alphas", "0.9", "--format", "json"),
+             ("mine", "--input", toy_path, "--predicate", "ndi", "--alpha", "0.5",
+              "--format", "json"),
+             (*sweep_args, "--predicate", "ndi"),
+             ("--help",), ("experiment", "sweep", "--help"), ("rank", "--help")]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert len({out for _, out, _ in reused}) == len(calls)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [run(capsys, *argv) for argv in calls]
+
+
+def test_main_runs_the_command_bound_at_call_time(capsys, toy_path, monkeypatch):
+    cli._parser()
+    monkeypatch.setattr(cli, "cmd_experiment_sweep", lambda args: print(args.alphas) or 0)
+    assert run(capsys, "experiment", "sweep", "--input", toy_path, "--predicate", "free",
+               "--alphas", "0.25") == (0, "(0.25,)\n", "")
+
+
+def test_mine_and_sweep_do_not_import_numpy(toy_path):
+    # numpy costs a fresh CLI process tens of milliseconds to import
+    import robustmine
+
+    src = os.path.dirname(os.path.dirname(robustmine.__file__))
+    code = ("import sys\nimport robustmine.cli as cli\n"
+            f"codes = [cli.main(['mine', '--input', {toy_path!r}, '--predicate', 'free', "
+            "'--alpha', '0.5']), "
+            f"cli.main(['experiment', 'sweep', '--input', {toy_path!r}, '--predicate', 'free'])]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"

@@ -1,11 +1,13 @@
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, combinations
 
 import numpy.random  # noqa: F401  (noise_mix loads it lazily; keep it out of the memory trace)
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_db, row_items
+import robustmine.ordering as ordering
+from conftest import databases, random_db, row_items
 from robustmine import (
     MiningConfig,
     PredicateKind,
@@ -20,16 +22,48 @@ from robustmine import (
     sweep,
     top_k,
 )
+from robustmine.mining import levelwise
 
 
-def test_sweep_matches_pointwise_mining(toy):
+KINDS = (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED, PredicateKind.NON_DERIVABLE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(databases(), st.integers(0, 2))
+@example(([[4], [1, 3, 4], [0, 1, 2, 3, 4], [1, 3, 4], [0, 1, 2, 3, 4], [0]], 5), 1)  # toy
+def test_sweep_matches_pointwise_mining(data, min_support):
+    db = TransactionDatabase(*data)
     alphas = (0.2, 0.5, 0.8)
     rhos = (0.0, 0.3, 0.7)
-    res = sweep(toy, PredicateKind.FREE, alphas, rhos)
-    assert res.alphas == alphas and res.rhos == rhos
-    for a, r, count in res.rows():
-        direct = mine_robust(toy, MiningConfig(PredicateKind.FREE, alpha=a, rho=r))
-        assert count == len(direct), (a, r)
+    for kind in KINDS:
+        res = sweep(db, kind, alphas, rhos, min_support)
+        assert res.alphas == alphas and res.rhos == rhos
+        for a, r, count in res.rows():
+            direct = mine_robust(db, MiningConfig(kind, alpha=a, rho=r, min_support=min_support))
+            assert count == len(direct), (kind, a, r)
+
+
+def test_sweep_computes_each_factor_once_per_alpha_and_count(monkeypatch):
+    # each grid alpha has one table: its factor 1 - beta**c is computed once
+    # per distinct cell count of the members, and no other (the walk at alpha
+    # 1, beta 0, values its levels by their own tables)
+    db = random_db(7, 200, 14, 0.5)
+    computed = Counter()
+    missing = ordering._Factors.__missing__
+
+    def counting(table, c):
+        computed[table.beta, c] += 1
+        return missing(table, c)
+
+    monkeypatch.setattr(ordering._Factors, "__missing__", counting)
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for kind in KINDS:
+        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=10))
+        counts = {c for *_, classes, _ in walk for cells in classes for c in cells}
+        computed.clear()
+        sweep(db, kind, alphas, (0.0, 0.5), min_support=10)
+        grid = {key: n for key, n in computed.items() if key[0] != 0.0}
+        assert grid == {(1.0 - a, c): 1 for a in alphas for c in counts}, kind
 
 
 def test_sweep_counts_values_equal_to_rho():

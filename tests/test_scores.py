@@ -1,10 +1,11 @@
 """One score object per itemset and kind. score(db, X, kind) is a Margin
 (free, ts), an NdiPolynomial (ndi) or ClosedCoefficients (closed); its
-value(alpha) equals, bit for bit, the per-kind robustness formulas copied
-below, its compare equals compare_sequences or compare_polynomials of the
-dense forms, and one family-key path gives the closed rank-distance orders."""
+value(alpha), and values_at of a batch, equal, bit for bit, the per-kind
+robustness formulas copied below, its compare equals compare_sequences or
+compare_polynomials of the dense forms, and one family-key path gives the
+closed rank-distance orders."""
 
-from itertools import combinations
+from itertools import chain, combinations, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +16,14 @@ from robustmine import (ClosedCoefficients, PredicateKind, TransactionDatabase,
                         mine_closed, parameter_free_order, robustness,
                         robustness_bucket_order, score, support)
 from robustmine.experiments import walk_orders
-from robustmine.ordering import ClosedFamilyIndex, Margin, NdiPolynomial
+from robustmine.ordering import (ClosedFamilyIndex, Margin, NdiPolynomial, survival_probability,
+                                 values_at)
 from robustmine.predicates import survival_classes
 
 CLOSED, NDI = PredicateKind.CLOSED, PredicateKind.NON_DERIVABLE
 ALPHAS = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=4)
+EDGE_ALPHAS = (0.0, 1.0, 5e-324, 1e-3, *(k / 10 for k in range(1, 10)), 1.0 - 2.0 ** -53)
+CELLS = st.lists(st.integers(0, 10 ** 5), max_size=8)
 
 
 def plain_checked(r):
@@ -45,11 +49,14 @@ def plain_value(db, items, kind, alpha, family=None):
         return plain_checked(float(sum(c * (1.0 - alpha) ** k for k, c in sorted(coeffs.items()))))
     classes = survival_classes(db, items, kind)
     if kind is NDI:
-        odd, even = classes
-        return plain_checked(1.0 - (1.0 - plain_survival(odd, alpha))
-                             * (1.0 - plain_survival(even, alpha)))
+        return plain_ndi(*classes, alpha)
     (cells,) = classes
     return plain_survival(cells, alpha)
+
+
+def plain_ndi(odd, even, alpha):
+    return plain_checked(1.0 - (1.0 - plain_survival(odd, alpha))
+                         * (1.0 - plain_survival(even, alpha)))
 
 
 def dense(sc):
@@ -65,10 +72,12 @@ def test_score_values_equal_the_per_kind_formulas_bit_for_bit(data, alphas):
     transactions, n_items = data
     db = TransactionDatabase(transactions, n_items=n_items)
     complete = ClosedFamilyIndex(mine_closed(db, 1), db.n_items)
+    batch = []
     for items in all_itemsets(n_items, 3):
         for kind in PredicateKind:
             sc = score(db, items, kind)
             over_index = score(db, items, kind, complete) if kind is CLOSED else sc
+            batch.append((items, kind, sc))
             for alpha in alphas:
                 want = plain_value(db, items, kind, alpha)
                 assert sc.value(alpha) == want == robustness(db, items, kind, alpha), \
@@ -76,6 +85,49 @@ def test_score_values_equal_the_per_kind_formulas_bit_for_bit(data, alphas):
                 if kind is CLOSED:
                     assert over_index.value(alpha) == plain_value(db, items, kind, alpha,
                                                                   complete), (items, alpha)
+    for alpha in alphas:  # one batch of every kind's scores
+        assert values_at([sc for *_, sc in batch], alpha) == \
+            [plain_value(db, items, kind, alpha) for items, kind, _ in batch]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.tuples(CELLS), st.tuples(CELLS, CELLS)), max_size=6),
+       st.one_of(st.sampled_from(EDGE_ALPHAS), st.floats(0.0, 1.0)))
+def test_values_equal_the_reference_loop_bit_for_bit(classes, alpha):
+    # cell counts up to 1e5 at the edges of [0, 1]: a batch reads its factors
+    # from one table, a lone value is a batch of one, and both multiply in the
+    # reference loop's order (float.hex tells -0.0 from 0.0)
+    scores = [Margin(sorted(c[0])) if len(c) == 1 else NdiPolynomial(c, sum(map(sum, c)))
+              for c in classes]
+    want = [plain_survival(c[0], alpha) if len(c) == 1 else plain_ndi(*c, alpha)
+            for c in classes]
+    assert list(map(float.hex, values_at(scores, alpha))) == list(map(float.hex, want))
+    assert [sc.value(alpha) for sc in scores] == want
+    for cells in chain.from_iterable(classes):
+        assert survival_probability(cells, alpha) == plain_survival(cells, alpha)
+
+
+def test_a_negative_count_raises_once_others_fill_the_table():
+    for batch in ([Margin((1, 2)), Margin((-1, 2))], [NdiPolynomial(((1, 2), (2, -3)), 8)]):
+        with pytest.raises(ValueError, match="negative cell count -"):
+            values_at(batch, 0.5)
+    with pytest.raises(ValueError, match="negative cell count -1"):
+        survival_probability([2, -1, 2], 0.5)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        values_at([], 1.5)
+
+
+@pytest.mark.parametrize("name, db, tau", [("D7", random_db(7, 200, 14, 0.5), 10),
+                                           ("W2", random_db(4, 300, 16, 0.5), 5)])
+def test_walk_buckets_equal_the_per_member_values(name, db, tau):
+    # buckets group exactly equal floats, so batch values must be the
+    # per-member formulas' values bit for bit
+    for kind in (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED, NDI):
+        buckets, order = walk_orders(db, kind, 0.3, tau)
+        values = sorted(((plain_value(db, x, kind, 0.3), x) for x in order),
+                        key=lambda pair: -pair[0])
+        want = [sorted(x for _, x in group) for _, group in groupby(values, key=lambda p: p[0])]
+        assert buckets == want == robustness_bucket_order(db, order, kind, 0.3), (name, kind)
 
 
 @settings(max_examples=40, deadline=None)
