@@ -44,8 +44,10 @@ print("support of {0,4}:", support(db, (0, 4)))
 # (1, 0) below counts transactions containing item 0 but not item 4
 print("transactions with 0 but not 4:", generalized_support(db, (0, 4), (1, 0)))
 
-# the cell table collects all 2^|X| generalized supports at once
-print("cell table for {0,4}:", dict(cell_table(db, (0, 4)).counts))
+# the cell table collects all 2^|X| generalized supports at once, indexed
+# by mask: bit 0 is item 0's value, bit 1 item 4's
+cells = cell_table(db, (0, 4))
+print("cell table for {0,4}:", {(m & 1, m >> 1): c for m, c in enumerate(cells)})
 
 # a free itemset has no redundant item: dropping any single item
 # changes the support

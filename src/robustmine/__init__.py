@@ -6,10 +6,9 @@ transaction is kept independently with probability alpha, and rank itemsets
 without fixing alpha at all.
 """
 
-from .dataset import (CELL_WIDTH_LIMIT, CapacityError, CellTable, FimiParseError,
-                      TransactionDatabase, canon_items, cell_table, generalized_support,
-                      load_fimi, load_labels, one_zero_cells, parse_fimi, parse_labels,
-                      support)
+from .dataset import (CELL_WIDTH_LIMIT, CapacityError, FimiParseError, TransactionDatabase,
+                      canon_items, cell_table, generalized_support, load_fimi, load_labels,
+                      one_zero_cells, parse_fimi, parse_labels, support)
 from .experiments import (SweepResult, compliance, noise_mix, parameter_free_order,
                           rank_distance, robustness_bucket_order, sweep)
 from .mining import (MinedItemset, MiningConfig, RankedPattern, mine_closed, mine_robust,

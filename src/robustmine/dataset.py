@@ -266,47 +266,11 @@ def one_zero_cells(db: TransactionDatabase, items: Sequence[int]) -> tuple[int, 
                  for k, x in enumerate(items))
 
 
-class CellTable:
-    """Counts of every 0/1 value vector over an itemset, indexed by mask: cells[idx]
-    counts the vector whose entry pos is bit pos of idx (entries follow the
-    sorted itemset). Sums to |D|."""
-
-    __slots__ = ("items", "cells")
-
-    def __init__(self, items: tuple[int, ...], cells: Sequence[int]):
-        self.items, self.cells = items, tuple(cells)
-
-    @property
-    def counts(self) -> dict[tuple[int, ...], int]:
-        """{value vector: count}, in mask order."""
-        m = len(self.items)
-        return {tuple(idx >> pos & 1 for pos in range(m)): c for idx, c in enumerate(self.cells)}
-
-    def __getitem__(self, values) -> int:
-        """The count of one value vector; KeyError unless it is 0/1 of length |X|."""
-        values = tuple(values)
-        if len(values) != len(self.items) or any(v not in (0, 1) for v in values):
-            raise KeyError(values)
-        return self.cells[sum(1 << pos for pos, v in enumerate(values) if v)]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def total(self) -> int:
-        return sum(self.cells)
-
-    def parity_split(self) -> tuple[list[int], list[int]]:
-        """Cell counts split by parity of ones in the value vector: (odd, even)."""
-        odd, even = [], []
-        for idx, c in enumerate(self.cells):
-            (odd if idx.bit_count() & 1 else even).append(c)
-        return odd, even
-
-
-def cell_table(db: TransactionDatabase, items: Sequence[int]) -> CellTable:
-    """Full table of generalized supports over all 2**|X| value vectors: the
-    tidset split by each item's column in turn, so the split by entry pos is
-    bit pos of the cell's index. CapacityError guards |X| > CELL_WIDTH_LIMIT."""
+def cell_table(db: TransactionDatabase, items: Sequence[int]) -> tuple[int, ...]:
+    """Generalized supports of all 2**|X| value vectors over the sorted itemset,
+    indexed by mask: entry idx counts the vector whose entry pos is bit pos of
+    idx, and the entries sum to |D|. The tidset is split by each item's column
+    in turn. CapacityError guards |X| > CELL_WIDTH_LIMIT."""
     items = canon_items(items)
     m = len(items)
     if m > CELL_WIDTH_LIMIT:
@@ -316,4 +280,4 @@ def cell_table(db: TransactionDatabase, items: Sequence[int]) -> CellTable:
     for x in items:
         col = db.tidset((x,))
         cells = [c & ~col for c in cells] + [c & col for c in cells]
-    return CellTable(items, map(int.bit_count, cells))
+    return tuple(map(int.bit_count, cells))

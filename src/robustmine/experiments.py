@@ -12,7 +12,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 
 from .dataset import TransactionDatabase, canon_items
-from .mining import MiningConfig, family_keys, levelwise, mine_closed, resolve_min_support
+from .mining import family_keys, levelwise, mine_closed, resolve_min_support
 from .ordering import ClosedFamilyIndex, check_probability, rank, score, sort_keys, values_at
 from .predicates import PredicateKind
 
@@ -32,15 +32,15 @@ def sweep(db: TransactionDatabase, kind: PredicateKind, alphas, rhos,
           min_support=1) -> SweepResult:
     """Mined-itemset counts over the (alpha, rho) grid.
 
-    The predicate family is independent of alpha, so it is walked once at
-    alpha = 1, each member's score is built once, and the grid only
-    re-thresholds its values: one values_at batch per alpha, sorted, and the
-    count at rho is the number of values >= rho, one bisection. Counts equal
-    a literal mine_robust run at every grid point.
+    The predicate family is independent of alpha, so it is walked once, each
+    member's score is built once, and the grid only re-thresholds its values:
+    one values_at batch per alpha, sorted, and the count at rho is the number
+    of values >= rho, one bisection. Counts equal a literal mine_robust run
+    at every grid point.
     """
     alphas = tuple(check_probability(a) for a in alphas)
     rhos = tuple(check_probability(r, "rho") for r in rhos)
-    scores = [sc for *_, sc in levelwise(db, MiningConfig(kind, 1.0, min_support=min_support))]
+    scores = [sc for _, _, sc in levelwise(db, kind, min_support)]
     counts = {}
     for a in alphas:
         values = sorted(values_at(scores, a))

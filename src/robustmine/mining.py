@@ -58,69 +58,60 @@ def check_size_window(min_size: int, max_size: int | None) -> None:
         raise ValueError(f"max size must be >= {min_size}, got {max_size}")
 
 
-def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
-    """The Apriori walk behind every non-closed miner. A candidate survives
-    when its support reaches min_support, the predicate holds and its
-    robustness at alpha reaches rho. Members are yielded as (items, support,
-    robustness, classes, score), level by level in lexicographic itemset
-    order, the empty itemset first when include_empty is set and it
-    survives. Level 1
-    holds every id at min_support 0 (an absent item can qualify there, but
-    joins nothing: a superset of it has an empty cell in every class) and only
-    the items present otherwise. A negative max_size is rejected.
+def levelwise(db: TransactionDatabase, kind: PredicateKind, min_support=1,
+              max_size: int | None = None, include_empty: bool = False, select=None):
+    """The Apriori walk behind every non-closed miner. A candidate is a member
+    when its support reaches min_support and the predicate holds. Members are
+    yielded as (items, support, score), level by level in lexicographic itemset
+    order, the empty itemset first (level 0) when include_empty is set and it
+    holds. Level 1 holds every id at min_support 0 (an absent item can qualify
+    there, but joins nothing: a superset of it has an empty cell in every
+    class) and only the items present otherwise. A negative max_size is
+    rejected.
 
     Each candidate is counted once, from the level above (Zaki's vertical
-    walk): every proper subset of it survived there. Its tidset is one AND of
-    its prefix parent's tidset with its last item's column, and is tested
+    walk): every proper subset of it is a member there. Its tidset is one AND
+    of its prefix parent's tidset with its last item's column, and is tested
     against min_support first. A free candidate's cells are supp(X - x) -
     supp(X), read from the supports of the level above; an ndi or ts
     candidate counts its one cell table. evaluate_predicate then tests those
-    classes, and the score is built from them (score_of): its value at alpha
-    is the robustness. A level's passing candidates are valued in one batch
-    (values_at) before rho filters them. Only the supports and tidsets of one
-    level's survivors are kept, for the next level's join.
+    classes, and the score is built from them (score_of). Only the supports
+    and tidsets of one level's members are kept, for the next level's join.
 
-    prune, when given, is called as prune(items, support, score) once a
-    candidate's score is built; a true result drops the candidate like a
-    failed predicate, so it never joins and none of its supersets is
-    generated. top_k prunes by its rising key bound; every other caller
-    walks the whole family.
+    select(level), when given, is the walk's one filter, an anti-monotone
+    constraint (Pei, Han & Lakshmanan, ICDE 2001): called once per level with
+    its members in order, it returns those to keep. A dropped member is not
+    yielded and never joins, so none of its supersets is generated.
     """
-    kind = config.kind
     if kind is PredicateKind.CLOSED:
         raise ValueError("closedness is not downward closed; use mine_closed or top_k")
-    alpha = check_probability(config.alpha)
-    rho = check_probability(config.rho, "rho")
-    tau = resolve_min_support(config.min_support, len(db))
-    max_size = config.max_size
+    tau = resolve_min_support(min_support, len(db))
     check_size_window(0, max_size)
     cols, dlen = dict(db.columns()), len(db)
 
     def members(candidates, supports):
-        """(member, tidset) of the (items, tidset) candidates that survive."""
-        found = []
+        """(member, tidset) of the (items, tidset) candidates kept."""
+        found, tids = [], {}
         for items, t in candidates:
             s = t.bit_count()
             if s < tau:
                 continue
-            if kind is PredicateKind.FREE:  # each X - x survived one level up
+            if kind is PredicateKind.FREE:  # each X - x is a member one level up
                 classes = (tuple(supports[items[:j] + items[j + 1:]] - s
                                  for j in range(len(items))),)
             else:
                 classes = survival_classes(db, items, kind)
             if evaluate_predicate(db, items, kind, classes):
-                sc = score_of(classes, dlen)
-                if prune is None or not prune(items, s, sc):
-                    found.append((items, s, classes, sc, t))
-        values = values_at([sc for *_, sc, _ in found], alpha)
-        return [((items, s, r, classes, sc), t)
-                for (items, s, classes, sc, t), r in zip(found, values) if r >= rho]
+                found.append((items, s, score_of(classes, dlen)))
+                tids[items] = t
+        kept = found if select is None else select(found)
+        return [(member, tids[member[0]]) for member in kept]
 
-    # the level above: its survivors' supports (the free cells and the subset
+    # the level above: its members' supports (the free cells and the subset
     # prune) and tidsets (each candidate's prefix parent); the empty itemset
     # is level 1's one parent
     supports, tidsets = {(): len(db)}, {(): db.tidset(())}
-    if config.include_empty:
+    if include_empty:
         yield from (member for member, _ in members([((), tidsets[()])], supports))
     seeds = range(db.n_items) if tau < 1 else sorted(cols)
     level = [(i,) for i in seeds]
@@ -133,7 +124,7 @@ def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
             if k > 1 or member[1]:
                 supports[member[0]], tidsets[member[0]] = member[1], t
             yield member
-        # survivors keep the level's lexicographic order, so itemsets sharing
+        # members keep the level's lexicographic order, so itemsets sharing
         # all but their last item are adjacent and the candidates come out
         # sorted; dropping either of a candidate's last two items gives a or b
         level = []
@@ -147,12 +138,22 @@ def levelwise(db: TransactionDatabase, config: MiningConfig, prune=None):
 
 def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItemset]:
     """All itemsets holding the predicate with support >= min_support and
-    robustness(alpha) >= rho. Output grouped by size, most robust first
-    within each size."""
+    robustness(alpha) >= rho, selected level by level from one values_at
+    batch each. Output grouped by size, most robust first within each size."""
+    alpha = check_probability(config.alpha)
+    rho = check_probability(config.rho, "rho")
+    value = {}  # the robustness of each member selected and not yet yielded
+
+    def robust(level):
+        values = values_at([sc for _, _, sc in level], alpha)
+        value.update((items, r) for (items, _, _), r in zip(level, values) if r >= rho)
+        return [member for member in level if member[0] in value]
+
+    walk = levelwise(db, config.kind, config.min_support, config.max_size,
+                     config.include_empty, robust)
     # one level's keys are alive at a time, sorted by their exact prefixes:
     # only keys whose prefixes tie are compared in Python (sort_keys)
-    scored = ((OrderKey(config.kind, sc, s, items), r)
-              for items, s, r, _, sc in levelwise(db, config))
+    scored = ((OrderKey(config.kind, sc, s, items), value.pop(items)) for items, s, sc in walk)
     return [MinedItemset(key.items, key.support, r)
             for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
             for key, r in sort_keys(level, key=itemgetter(0))]
@@ -228,16 +229,15 @@ def family_keys(db: TransactionDatabase, kind: PredicateKind, min_support=1,
     """The ranking keys of a kind's whole family, members of min_size to
     max_size items with support >= min_support, in mining order: closed
     mined at min_support (at least 1) and keyed over the index of that
-    family; every other kind walked levelwise, unpruned, keyed by the scores
+    family; every other kind walked levelwise, unselected, keyed by the scores
     the walk built. The empty itemset takes part for non-closed kinds when
     include_empty is set, min_size is 0 and it passes the filters. walk_orders
     reads every member; top_k keys only those that can place, and this stays
     its unbounded reference."""
     if kind is PredicateKind.CLOSED:
         return _closed_keys(db, min_support, min_size, max_size)
-    walk = levelwise(db, MiningConfig(kind, 1.0, min_support=min_support, max_size=max_size,
-                                      include_empty=include_empty))
-    return [OrderKey(kind, sc, s, items) for items, s, _, _, sc in walk if len(items) >= min_size]
+    walk = levelwise(db, kind, min_support, max_size, include_empty)
+    return [OrderKey(kind, sc, s, items) for items, s, sc in walk if len(items) >= min_size]
 
 
 @dataclass(frozen=True)
@@ -249,37 +249,38 @@ class RankedPattern:
 
 
 class _RisingBound:
-    """top_k's prune hook for a downward-closed kind (free, ndi, ts): a
-    superset's robustness is at most its subset's at every alpha, so its key
-    never sorts above the subset's. `best` buffers the best keys seen of at
-    least min_size items; at 2k, and when the walk starts a new level,
-    sort_keys cuts it back to k, and its k-th key is the bound (a k covering
-    the family never cuts it). A candidate whose key compares strictly LESS
-    than the bound is dropped: neither it nor any superset can place. An
-    EQUAL key stays, as the support and itemset tie-breaks are not monotone.
-    Members below min_size are pruned by the bound but do not fill `best`."""
+    """top_k's select for a downward-closed kind (free, ndi, ts): a superset's
+    robustness is at most its subset's at every alpha, so its key never sorts
+    above the subset's. `best` buffers the best keys seen of at least min_size
+    items; at the start of each level and at 2k, sort_keys cuts it back to k,
+    and its k-th key is the bound (a k covering the family never cuts it). A
+    member whose key compares strictly LESS than the bound is dropped: neither
+    it nor any superset can place. An EQUAL key stays, as the support and
+    itemset tie-breaks are not monotone. Members below min_size are dropped by
+    the bound but do not fill `best`."""
 
     def __init__(self, kind: PredicateKind, k: int, min_size: int):
         self.kind, self.k, self.min_size = kind, k, min_size
-        self.best, self.bound, self.level = [], None, 0
+        self.best, self.bound = [], None
 
     def cut(self) -> None:
         if len(self.best) > self.k:
             self.best = sort_keys(self.best)[:self.k]
             self.bound = self.best[-1]
 
-    def __call__(self, items, support: int, sc) -> bool:
-        if len(items) > self.level:
-            self.level = len(items)
-            self.cut()
-        key = OrderKey(self.kind, sc, support, items)
-        if self.bound is not None and compare_keys(key, self.bound) == LESS:
-            return True
-        if len(items) >= self.min_size:
-            self.best.append(key)
-            if len(self.best) >= 2 * self.k:
-                self.cut()
-        return False
+    def __call__(self, level: list) -> list:
+        self.cut()
+        kept = []
+        for member in level:
+            key = OrderKey(self.kind, member[2], member[1], member[0])
+            if self.bound is not None and compare_keys(key, self.bound) == LESS:
+                continue
+            kept.append(member)
+            if len(key.items) >= self.min_size:
+                self.best.append(key)
+                if len(self.best) >= 2 * self.k:
+                    self.cut()
+        return kept
 
 
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
@@ -298,11 +299,8 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
         keys = _closed_keys(db, min_support, min_size, max_size, k)
     else:
         bound = _RisingBound(kind, k, min_size)
-        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=min_support,
-                                          max_size=max_size, include_empty=include_empty),
-                         bound)
-        for _ in walk:  # the members are in bound.best
-            pass
+        for _ in levelwise(db, kind, min_support, max_size, include_empty, bound):
+            pass  # the members are in bound.best
         keys = bound.best
     return [RankedPattern(pos, key.items, key.support, key)
             for pos, key in enumerate(sort_keys(keys)[:k], start=1)]

@@ -71,8 +71,7 @@ def values_at(scores, alpha: float) -> list[float]:
         if type(sc) is Margin:
             values.append(math.prod(map(factor, sc[::-1]), start=1.0))
         elif type(sc) is NdiPolynomial:
-            a, b = (math.prod(map(factor, sorted(c, reverse=True)), start=1.0)
-                    for c in sc.classes)
+            a, b = (math.prod(map(factor, c), start=1.0) for c in sc.classes)
             values.append(1.0 - (1.0 - a) * (1.0 - b))
         else:
             values.append(sc.value(alpha))
@@ -221,6 +220,8 @@ class NdiPolynomial:
     cells fail independently; o(C) = prod(1 - beta**s) over C's cells. r is 1
     at degree 0, 0 up to lo - 1 for lo = min(A) + min(B), and negative at lo
     (r = 0 at lo = 0; an empty class never fails: r = 1, lo is infinite).
+    `classes` holds each class sorted once, largest cell first, the order
+    values_at multiplies in.
 
     Products are packed integers (Kronecker substitution): coefficient k is
     the signed digit at bits k*width, width = cells + 4 (pack_width), as n
@@ -231,9 +232,9 @@ class NdiPolynomial:
     (its horizon), everywhere with none."""
 
     def __init__(self, classes: tuple[Sequence[int], Sequence[int]], degree: int):
-        a, b = classes
-        self.classes, self.degree, self.states = classes, degree, {}
-        self.lo = min(a) + min(b) if len(a) and len(b) else math.inf
+        a, b = self.classes = tuple(sorted(c, reverse=True) for c in classes)
+        self.degree, self.states = degree, {}
+        self.lo = a[-1] + b[-1] if a and b else math.inf
 
     @cached_property
     def cells(self) -> list[int]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
+from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .dataset import TransactionDatabase, canon_items, cell_table, one_zero_cells, support
@@ -105,15 +107,28 @@ class SurvivalClasses(NamedTuple):
     size: Callable[[int], int] | None
 
 
+@cache
+def _parity_getters(size: int) -> tuple[Callable, Callable]:
+    """The getters of a size-cell table's cells whose masks have an odd / even
+    number of ones, each returning a tuple in mask order."""
+    def getter(idx):  # itemgetter returns a tuple for two or more indices only
+        return itemgetter(*idx) if len(idx) > 1 else lambda cells: tuple(cells[i] for i in idx)
+    return tuple(getter([i for i in range(size) if i.bit_count() & 1 == p]) for p in (1, 0))
+
+
+def _parity_split(cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(get(cells) for get in _parity_getters(len(cells)))
+
+
 SURVIVAL_CLASSES = {
     # free: the |X| cells with exactly one absent item
     PredicateKind.FREE: SurvivalClasses(lambda db, x: (one_zero_cells(db, x),), lambda m: m),
     # totally shattered: all 2**|X| cells
     PredicateKind.TOTALLY_SHATTERED: SurvivalClasses(
-        lambda db, x: (cell_table(db, x).cells,), lambda m: 2 ** m),
+        lambda db, x: (cell_table(db, x),), lambda m: 2 ** m),
     # non-derivable: the odd- and even-parity cells (Calders & Goethals, PKDD 2002)
     PredicateKind.NON_DERIVABLE: SurvivalClasses(
-        lambda db, x: cell_table(db, x).parity_split(), None),
+        lambda db, x: _parity_split(cell_table(db, x)), None),
 }
 
 

@@ -1,11 +1,11 @@
 """The public API, pinned by name: adding or removing an export or a
-TransactionDatabase or CellTable attribute changes one line here, on purpose."""
+TransactionDatabase attribute changes one line here, on purpose."""
 
 import robustmine
-from robustmine import TransactionDatabase, cell_table
+from robustmine import TransactionDatabase
 
 EXPORTS = [
-    "CELL_WIDTH_LIMIT", "CapacityError", "CellTable", "ClosedCoefficients", "EQUAL",
+    "CELL_WIDTH_LIMIT", "CapacityError", "ClosedCoefficients", "EQUAL",
     "EXHAUSTIVE_LIMIT", "FimiParseError", "GREATER", "LESS", "MinedItemset", "MiningConfig",
     "OrderKey", "PredicateKind", "RankedPattern", "SweepResult", "TransactionDatabase",
     "alpha_bound", "breakdown_vector", "canon_items", "cell_table", "closed_coefficients",
@@ -26,8 +26,6 @@ DATABASE_ATTRIBUTES = [
     "tidset",
 ]
 
-CELL_TABLE_ATTRIBUTES = ["cells", "counts", "items", "parity_split", "total"]
-
 
 def test_package_exports():
     assert sorted(robustmine.__all__) == EXPORTS
@@ -37,7 +35,3 @@ def test_transaction_database_attributes():
     db = TransactionDatabase([[0, 1], [2]])
     assert sorted(n for n in dir(db) if not n.startswith("_")) == DATABASE_ATTRIBUTES
 
-
-def test_cell_table_attributes():
-    table = cell_table(TransactionDatabase([[0, 1], [2]]), (0, 1))
-    assert sorted(n for n in dir(table) if not n.startswith("_")) == CELL_TABLE_ATTRIBUTES

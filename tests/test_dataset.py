@@ -7,6 +7,7 @@ from conftest import TOY_TEXT, all_itemsets, databases, random_db, small_corpus
 from robustmine import (
     CapacityError,
     FimiParseError,
+    PredicateKind,
     TransactionDatabase,
     cell_table,
     generalized_support,
@@ -15,6 +16,7 @@ from robustmine import (
     parse_labels,
     support,
 )
+from robustmine.predicates import survival_classes
 
 
 def test_parse_toy(toy):
@@ -86,18 +88,24 @@ def test_generalized_support_matches_row_scan():
                 assert generalized_support(db, items, vec) == want
 
 
+def _mask(values):
+    """The cell table index of a value vector: entry pos is bit pos."""
+    return sum(v << pos for pos, v in enumerate(values))
+
+
 def test_cell_table_toy(toy):
     table = cell_table(toy, (0, 2))
-    assert table.counts == {(0, 0): 3, (1, 0): 1, (0, 1): 0, (1, 1): 2}
-    assert table.total() == 6
-    odd, even = table.parity_split()
+    assert {v: table[_mask(v)] for v in [(0, 0), (1, 0), (0, 1), (1, 1)]} == \
+        {(0, 0): 3, (1, 0): 1, (0, 1): 0, (1, 1): 2}
+    assert table == (3, 1, 0, 2)
+    assert sum(table) == 6
+    odd, even = survival_classes(toy, (0, 2), PredicateKind.NON_DERIVABLE)
     assert sorted(odd) == [0, 1]
     assert sorted(even) == [2, 3]
 
 
 def test_cell_table_empty_itemset(toy):
-    table = cell_table(toy, ())
-    assert table.counts == {(): 6}
+    assert cell_table(toy, ()) == (6,)
 
 
 def test_cell_table_capacity():
@@ -154,17 +162,10 @@ def test_cell_table_cells_are_indexed_by_mask(case):
         m = len(items)
         vectors = [tuple(idx >> pos & 1 for pos in range(m)) for idx in range(1 << m)]
         want = {v: generalized_support(db, items, v) for v in vectors}
-        assert table.cells == tuple(want.values())
-        # the definitions the dict-keyed table had
-        assert list(table.counts.items()) == list(want.items())
-        assert all(table[v] == table[list(v)] == c for v, c in want.items())
-        assert table.total() == sum(want.values()) == len(db)
+        assert table == tuple(want.values())
+        assert all(table[_mask(v)] == c for v, c in want.items())
+        assert sum(table) == sum(want.values()) == len(db)
         assert len(table) == len(want) == 2 ** m
-        assert table.parity_split() == ([c for v, c in want.items() if sum(v) % 2],
-                                        [c for v, c in want.items() if not sum(v) % 2])
-
-
-@pytest.mark.parametrize("values", [(0,), (0, 0, 0), (0, 2), (-1, 0), (1, None), ()])
-def test_cell_table_refuses_bad_vectors(toy, values):
-    with pytest.raises(KeyError):
-        cell_table(toy, (0, 2))[values]
+        assert survival_classes(db, items, PredicateKind.NON_DERIVABLE) == (
+            tuple(c for v, c in want.items() if sum(v) % 2),
+            tuple(c for v, c in want.items() if not sum(v) % 2))

@@ -22,7 +22,7 @@ from robustmine import (
     sweep,
     top_k,
 )
-from robustmine.mining import levelwise
+from robustmine.mining import family_keys
 
 
 KINDS = (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED, PredicateKind.NON_DERIVABLE)
@@ -45,25 +45,33 @@ def test_sweep_matches_pointwise_mining(data, min_support):
 
 def test_sweep_computes_each_factor_once_per_alpha_and_count(monkeypatch):
     # each grid alpha has one table: its factor 1 - beta**c is computed once
-    # per distinct cell count of the members, and no other (the walk at alpha
-    # 1, beta 0, values its levels by their own tables)
+    # per distinct cell count of the members' scores, and no other. The walk
+    # values nothing, so family_keys and top_k build no table at all
     db = random_db(7, 200, 14, 0.5)
-    computed = Counter()
-    missing = ordering._Factors.__missing__
+    tables, computed = [], Counter()
+    build, missing = ordering._Factors.__init__, ordering._Factors.__missing__
+
+    def building(table, alpha):
+        build(table, alpha)
+        tables.append(table.beta)
 
     def counting(table, c):
         computed[table.beta, c] += 1
         return missing(table, c)
 
+    monkeypatch.setattr(ordering._Factors, "__init__", building)
     monkeypatch.setattr(ordering._Factors, "__missing__", counting)
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     for kind in KINDS:
-        walk = levelwise(db, MiningConfig(kind, 1.0, min_support=10))
-        counts = {c for *_, classes, _ in walk for cells in classes for c in cells}
+        tables.clear()
         computed.clear()
+        scores = [key.payload for key in family_keys(db, kind, 10)]
+        assert len(top_k(db, kind, 10, min_support=10)) == 10
+        assert tables == [] and not computed, kind
+        counts = {c for sc in scores for cells in getattr(sc, "classes", (sc,)) for c in cells}
         sweep(db, kind, alphas, (0.0, 0.5), min_support=10)
-        grid = {key: n for key, n in computed.items() if key[0] != 0.0}
-        assert grid == {(1.0 - a, c): 1 for a in alphas for c in counts}, kind
+        assert tables == [1.0 - a for a in alphas], kind
+        assert computed == {(1.0 - a, c): 1 for a in alphas for c in counts}, kind
 
 
 def test_sweep_counts_values_equal_to_rho():

@@ -98,22 +98,31 @@ def test_each_member_is_counted_once(toy, monkeypatch, kind):
 @settings(max_examples=60, deadline=None)
 @given(databases())
 def test_walk_classes_are_the_one_description(data):
-    # the classes the walk counts from the level above are the ones
-    # survival_classes counts from the database, on every walk setting
+    # the supports and scores the walk counts from the level above are the
+    # ones counted from the database, on every walk setting, and mine_robust
+    # selects from them by robustness at alpha
     transactions, n_items = data
     db = TransactionDatabase(transactions, n_items=n_items)
-    for kind, include_empty, min_support, rho, max_size in product(
-            KINDS, (False, True), (0, 1, 2, 0.3), (0.0, 0.5), (None, 2)):
-        walk = list(mining.levelwise(db, MiningConfig(kind, 0.5, rho, min_support, max_size,
-                                                      include_empty)))
-        setting = (kind, include_empty, min_support, rho, max_size)
-        for items, s, r, classes, sc in walk:
-            assert classes == survival_classes(db, items, kind), (items, setting)
+    for kind, include_empty, min_support, max_size in product(
+            KINDS, (False, True), (0, 1, 2, 0.3), (None, 2)):
+        walk = list(mining.levelwise(db, kind, min_support, max_size, include_empty))
+        setting = (kind, include_empty, min_support, max_size)
+        for items, s, sc in walk:
             assert s == support(db, items), (items, setting)
-            assert r == robustness(db, items, kind, 0.5) == sc.value(0.5), (items, setting)
             assert sc == score(db, items, kind), (items, setting)
+            if kind is PredicateKind.NON_DERIVABLE:
+                assert [sorted(c) for c in sc.classes] == \
+                    [sorted(c) for c in survival_classes(db, items, kind)], (items, setting)
         itemsets = [items for items, *_ in walk]
         assert itemsets == sorted(itemsets, key=lambda it: (len(it), it)), setting
+        for rho in (0.0, 0.5):
+            mined = mine_robust(db, MiningConfig(kind, 0.5, rho, min_support, max_size,
+                                                 include_empty))
+            assert sorted(m.items for m in mined) == \
+                sorted(items for items, _, sc in walk if sc.value(0.5) >= rho), (rho, setting)
+            for m in mined:
+                assert m.support == support(db, m.items), (m.items, rho, setting)
+                assert m.robustness == robustness(db, m.items, kind, 0.5), (m.items, rho, setting)
 
 
 def test_walk_keys_order_like_rank():
@@ -181,6 +190,10 @@ def test_sparse_huge_ids_mine_in_bounded_memory(run):
     assert out
 
 
+def _walk(db, config):
+    deque(mining.levelwise(db, config.kind, config.min_support, config.max_size), maxlen=0)
+
+
 @pytest.fixture(scope="module")
 def long_db():
     return random_db(1, 20000, 30, 0.15)
@@ -188,9 +201,8 @@ def long_db():
 
 @pytest.mark.parametrize("kind, run, bound", [
     (PredicateKind.FREE, mine_robust, 2.5),
-    (PredicateKind.FREE, lambda db, config: deque(mining.levelwise(db, config), maxlen=0), 2.5),
-    (PredicateKind.NON_DERIVABLE, lambda db, config: deque(mining.levelwise(db, config),
-                                                           maxlen=0), 2.5),
+    (PredicateKind.FREE, _walk, 2.5),
+    (PredicateKind.NON_DERIVABLE, _walk, 2.5),
     (PredicateKind.NON_DERIVABLE, mine_robust, 4),
 ], ids=["free-mine_robust", "free-walk", "ndi-walk", "ndi-mine_robust"])
 def test_long_input_walk_keeps_one_level_of_tidsets(long_db, kind, run, bound):

@@ -18,6 +18,7 @@ from robustmine import (
     seq_diff,
     survival_probability,
 )
+from robustmine.predicates import survival_classes
 
 sorted_vec = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(
     lambda xs: tuple(sorted(xs)))
@@ -95,7 +96,7 @@ def test_cell_table_partitions_rows(rows):
     db = TransactionDatabase(rows, n_items=5)
     for items in [(0,), (1, 3), (0, 2, 4)]:
         table = cell_table(db, items)
-        assert table.total() == len(db)
-        odd, even = table.parity_split()
-        assert sorted(odd + even) == sorted(table.counts.values())
-        assert len(table.counts) == 2 ** len(items)
+        assert sum(table) == len(db)
+        odd, even = survival_classes(db, items, PredicateKind.NON_DERIVABLE)
+        assert sorted(odd + even) == sorted(table)
+        assert len(table) == 2 ** len(items)

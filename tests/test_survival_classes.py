@@ -9,7 +9,7 @@ test.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,10 @@ from robustmine.predicates import SURVIVAL_CLASSES, classes_hold, survival_class
 
 
 def reference_classes(db, items, kind):
-    counts = cell_table(db, items).counts
+    # the table is indexed by mask: value vector v is entry sum(v_pos << pos)
+    table = cell_table(db, items)
+    counts = {v: table[sum(b << pos for pos, b in enumerate(v))]
+              for v in product((0, 1), repeat=len(canon_items(items)))}
     if kind is PredicateKind.FREE:
         return [one_zero_cells(db, items)]
     if kind is PredicateKind.TOTALLY_SHATTERED:
@@ -93,3 +96,22 @@ def test_float_robustness_pinned_to_rationals(kind):
                 got = robustness(db, items, kind, alpha, closed_family=family)
                 exact = exact_robustness(db, items, kind, alpha)
                 assert abs(Fraction(got) - exact) <= Fraction(1e-14), (seed, items, alpha)
+
+
+def _enumerated_split(table):
+    """(odd, even) of a cell table, one pass over its masks by their bit_count."""
+    odd, even = [], []
+    for idx, c in enumerate(table):
+        (odd if idx.bit_count() & 1 else even).append(c)
+    return tuple(odd), tuple(even)
+
+
+@pytest.mark.parametrize("width", range(7))
+def test_ndi_classes_split_the_table_by_parity(width):
+    # width 0 has an empty odd class, width 1 one cell in each class
+    db = random_db(5, 80, 6, 0.5)
+    for items in combinations(range(6), width):
+        odd, even = survival_classes(db, items, PredicateKind.NON_DERIVABLE)
+        assert (odd, even) == _enumerated_split(cell_table(db, items)), items
+        assert len(odd) == 2 ** width // 2 and len(even) == 2 ** width - len(odd)
+    assert survival_classes(db, (), PredicateKind.NON_DERIVABLE) == ((), (80,))
