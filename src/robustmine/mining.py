@@ -3,7 +3,7 @@
 Freeness, non-derivability and total shattering are downward closed and
 their robustness only drops when items are added, so the classic
 candidate-join / subset-prune loop applies to the robustness filter too, and
-top_k prunes the same walk by a rising bound on the ranking key.
+top_k cuts the same walk once per level by the k-th ranking key held.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from operator import itemgetter
 
 from .dataset import TransactionDatabase
 from .ordering import (LESS, ClosedFamilyIndex, OrderKey, check_probability, compare_keys,
@@ -153,10 +152,10 @@ def mine_robust(db: TransactionDatabase, config: MiningConfig) -> list[MinedItem
                      config.include_empty, robust)
     # one level's keys are alive at a time, sorted by their exact prefixes:
     # only keys whose prefixes tie are compared in Python (sort_keys)
-    scored = ((OrderKey(config.kind, sc, s, items), value.pop(items)) for items, s, sc in walk)
-    return [MinedItemset(key.items, key.support, r)
-            for _, level in groupby(scored, key=lambda pair: len(pair[0].items))
-            for key, r in sort_keys(level, key=itemgetter(0))]
+    keys = (OrderKey(config.kind, sc, s, items) for items, s, sc in walk)
+    return [MinedItemset(key.items, key.support, value.pop(key.items))
+            for _, level in groupby(keys, key=lambda key: len(key.items))
+            for key in sort_keys(level)]
 
 
 def mine_closed(db: TransactionDatabase, min_support=1) -> list[tuple[tuple[int, ...], int]]:
@@ -248,49 +247,17 @@ class RankedPattern:
     key: OrderKey
 
 
-class _RisingBound:
-    """top_k's select for a downward-closed kind (free, ndi, ts): a superset's
-    robustness is at most its subset's at every alpha, so its key never sorts
-    above the subset's. `best` buffers the best keys seen of at least min_size
-    items; at the start of each level and at 2k, sort_keys cuts it back to k,
-    and its k-th key is the bound (a k covering the family never cuts it). A
-    member whose key compares strictly LESS than the bound is dropped: neither
-    it nor any superset can place. An EQUAL key stays, as the support and
-    itemset tie-breaks are not monotone. Members below min_size are dropped by
-    the bound but do not fill `best`."""
-
-    def __init__(self, kind: PredicateKind, k: int, min_size: int):
-        self.kind, self.k, self.min_size = kind, k, min_size
-        self.best, self.bound = [], None
-
-    def cut(self) -> None:
-        if len(self.best) > self.k:
-            self.best = sort_keys(self.best)[:self.k]
-            self.bound = self.best[-1]
-
-    def __call__(self, level: list) -> list:
-        self.cut()
-        kept = []
-        for member in level:
-            key = OrderKey(self.kind, member[2], member[1], member[0])
-            if self.bound is not None and compare_keys(key, self.bound) == LESS:
-                continue
-            kept.append(member)
-            if len(key.items) >= self.min_size:
-                self.best.append(key)
-                if len(self.best) >= 2 * self.k:
-                    self.cut()
-        return kept
-
-
 def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
           min_size: int = 0, max_size: int | None = None,
           include_empty: bool = True) -> list[RankedPattern]:
     """The k most robust members of the predicate family, ranked as
-    sort_keys(family_keys(...))[:k] ranks them, keying only members that can place:
-    free, ndi and ts walk under a rising key bound (_RisingBound, TFP's rising threshold
-    applied to the key order), closed keys those whose leads reach the k-th lead
-    (_closed_keys). The keys left go through sort_keys.
+    sort_keys(family_keys(...))[:k] ranks them, keying only members that can place.
+    Closed keys those whose leads reach the k-th lead (_closed_keys). Free, ndi and
+    ts walk under a select that cuts once per level (TFP's rising threshold on the
+    key order): it drops each member whose key is strictly LESS than the k-th key
+    held, holds the rest's keys of at least min_size items, cuts them to the k best
+    by sort_keys once k are held, and drops again by the new k-th. An EQUAL key
+    stays, as the support and itemset tie-breaks are not monotone.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -298,9 +265,21 @@ def top_k(db: TransactionDatabase, kind: PredicateKind, k: int, min_support=1,
     if kind is PredicateKind.CLOSED:
         keys = _closed_keys(db, min_support, min_size, max_size, k)
     else:
-        bound = _RisingBound(kind, k, min_size)
-        for _ in levelwise(db, kind, min_support, max_size, include_empty, bound):
-            pass  # the members are in bound.best
-        keys = bound.best
+        keys = []  # the best keys held: the k best, sorted, once k are held
+
+        def placing(level):
+            if len(keys) < k:  # an uncut list has no k-th key
+                return level
+            return [key for key in level if compare_keys(key, keys[-1]) != LESS]
+
+        def select(level):
+            level = placing([OrderKey(kind, sc, s, items) for items, s, sc in level])
+            keys.extend(key for key in level if len(key.items) >= min_size)
+            if len(keys) >= k:
+                keys[:] = sort_keys(keys)[:k]
+            return [(key.items, key.support, key.payload) for key in placing(level)]
+
+        for _ in levelwise(db, kind, min_support, max_size, include_empty, select):
+            pass  # the members that can place are in keys
     return [RankedPattern(pos, key.items, key.support, key)
             for pos, key in enumerate(sort_keys(keys)[:k], start=1)]

@@ -637,17 +637,15 @@ class _Tied:
         return self.key < other.key
 
 
-def sort_keys(entries, key=None) -> list:
-    """Entries in ranking order of their OrderKeys (key(entry), or the entries
-    themselves), as sorted() would give them. Each entry sorts by its score's
-    exact prefix at one width for all, the most any score needs, compared in
-    C; only entries whose prefixes tie reach OrderKey.__lt__, that is compare
-    and the tie-breaks."""
-    get = key or (lambda entry: entry)
-    entries = list(entries)
-    width = max((get(entry).payload.pack_width for entry in entries), default=0)
-    entries.sort(key=lambda entry: (get(entry).payload.prefix(width), _Tied(get(entry))))
-    return entries
+def sort_keys(keys) -> list:
+    """OrderKeys in ranking order, as sorted() would give them. Each key sorts
+    by its score's exact prefix at one width for all, the most any score
+    needs, compared in C; only keys whose prefixes tie reach OrderKey.__lt__,
+    that is compare and the tie-breaks."""
+    keys = list(keys)
+    width = max((key.payload.pack_width for key in keys), default=0)
+    keys.sort(key=lambda key: (key.payload.prefix(width), _Tied(key)))
+    return keys
 
 
 def compare_keys(a: OrderKey, b: OrderKey) -> int:

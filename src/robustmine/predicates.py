@@ -117,7 +117,10 @@ def _parity_getters(size: int) -> tuple[Callable, Callable]:
 
 
 def _parity_split(cells: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(get(cells) for get in _parity_getters(len(cells)))
+    # tables of up to 2**12 cells keep their getters, as an NDI has at most
+    # log2|D| + 1 items (Calders & Goethals); a wider table's are built per call
+    getters = _parity_getters if len(cells) <= 1 << 12 else _parity_getters.__wrapped__
+    return tuple(get(cells) for get in getters(len(cells)))
 
 
 SURVIVAL_CLASSES = {

@@ -19,6 +19,7 @@ from robustmine import (PredicateKind, TransactionDatabase, breakdown_vector, ca
                         cell_table, evaluate_predicate, expand, margin_vector,
                         mine_closed, ndi_polynomial, one_zero_cells, order_key, robustness)
 from robustmine.oracle import definition
+from robustmine import predicates
 from robustmine.predicates import SURVIVAL_CLASSES, classes_hold, survival_classes
 
 
@@ -115,3 +116,16 @@ def test_ndi_classes_split_the_table_by_parity(width):
         assert (odd, even) == _enumerated_split(cell_table(db, items)), items
         assert len(odd) == 2 ** width // 2 and len(even) == 2 ** width - len(odd)
     assert survival_classes(db, (), PredicateKind.NON_DERIVABLE) == ((), (80,))
+
+
+def test_wide_ndi_tables_keep_no_getters():
+    # a 2**16-cell table's index lists would outlive the call; tables of up to
+    # 2**12 cells, all the walk needs below 2**11 rows, keep theirs
+    db = random_db(5, 40, 16, 0.5)
+    ndi, cached = PredicateKind.NON_DERIVABLE, predicates._parity_getters
+    cached.cache_clear()
+    wide = survival_classes(db, range(16), ndi)
+    assert wide == _enumerated_split(cell_table(db, range(16)))
+    assert cached.cache_info().currsize == 0
+    survival_classes(db, range(12), ndi)
+    assert cached.cache_info().currsize == 1

@@ -1,7 +1,8 @@
-"""top_k keys only what can place: free, ndi and ts walk under a rising key
-bound; closed reads each member's lead, its prefix's first two tuples, from
-the family index and keys only the members whose lead reaches the k-th.
-Either way the rows are the sorted family's prefix, ties included."""
+"""top_k keys only what can place: free, ndi and ts walk under a select that
+cuts once per level by the k-th key held; closed reads each member's lead,
+its prefix's first two tuples, from the family index and keys only the
+members whose lead reaches the k-th. Either way the rows are the sorted
+family's prefix, ties included."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,9 +75,9 @@ def test_no_member_key_sorts_above_a_subset_on_denser_databases():
 def test_keys_equal_to_the_kth_are_not_pruned(monkeypatch):
     # every ndi singleton of support 0 < s < |D| has the classes {s} and
     # {|D| - s}, so one key, r = 1 - beta**|D|: support, then the itemset,
-    # decides. Items 4 and 5 come after the bound is first set, at the fourth
-    # singleton, and compare EQUAL to it; (4,) places second, beside (3,)
-    # of the same support, only because neither is pruned
+    # decides. Every singleton compares EQUAL to the k-th key held once level 1
+    # is cut; (4,) places second, beside (3,) of the same support, only because
+    # neither is pruned
     supports = (1, 2, 3, 5, 5, 4)
     db = TransactionDatabase([[i for i, s in enumerate(supports) if r < s] for r in range(7)])
     ndi = PredicateKind.NON_DERIVABLE
@@ -100,29 +101,57 @@ def test_keys_equal_to_the_kth_are_not_pruned(monkeypatch):
     assert all(compare_keys(top[-1].key, key) == EQUAL for key in family[:6])
 
 
-# candidates the W1 top-10 walk may test; it tests 221 / 466 / 409 (free / ndi
-# / ts, min size 0) and 496 / 555 / 502 (min size 2), where the whole ndi
+# candidates the W1 top-10 walk may test; it tests 67 / 466 / 67 (free / ndi
+# / ts, min size 0) and 466 / 476 / 466 (min size 2), where the whole ndi
 # family is 80,033 members
 W1_GUARD = 1000
 
 
-@pytest.mark.parametrize("min_size", (0, 2))
-def test_top_ten_on_w1_tests_few_candidates(monkeypatch, min_size):
-    db = random_db(1, 5000, 30, 0.15)
+def guard_candidates(monkeypatch, most):
+    """Count evaluate_predicate calls in mining, failing past most."""
     tested = [0]
     evaluate_predicate = mining.evaluate_predicate
 
     def guarded(db, items, kind, classes=None):
         tested[0] += 1
-        if tested[0] > W1_GUARD:  # fail at once, not after walking the family
-            raise AssertionError(f"{kind.value} top-10 tested over {W1_GUARD} candidates")
+        if tested[0] > most:  # fail at once, not after walking the family
+            raise AssertionError(f"{kind.value} top-10 tested over {most} candidates")
         return evaluate_predicate(db, items, kind, classes)
 
     monkeypatch.setattr(mining, "evaluate_predicate", guarded)
+    return tested
+
+
+@pytest.mark.parametrize("min_size", (0, 2))
+def test_top_ten_on_w1_tests_few_candidates(monkeypatch, min_size):
+    db = random_db(1, 5000, 30, 0.15)
+    tested = guard_candidates(monkeypatch, W1_GUARD)
     for kind in BOUNDED:
         tested[0] = 0
         ranked = top_k(db, kind, 10, min_size=min_size)
         assert len(ranked) == 10 and all(len(p.items) >= min_size for p in ranked), kind
+
+
+@pytest.mark.parametrize("kind", (PredicateKind.FREE, PredicateKind.TOTALLY_SHATTERED))
+def test_level_one_bounds_the_w1_top_ten(monkeypatch, kind):
+    # the empty itemset and the 9 best singletons hold the 10 best keys once
+    # level 1 is cut, so only the 36 pairs of those 9 items are tested, 67
+    # candidates in all
+    db = random_db(1, 5000, 30, 0.15)
+    guard_candidates(monkeypatch, 100)
+    assert len(top_k(db, kind, 10)) == 10
+
+
+def test_a_list_of_exactly_k_keys_is_sorted_before_it_bounds():
+    # free, tau 0, min size 2: at k = 11 some level leaves exactly 11 keys
+    # held, whose last need not be the 11th best until they are sorted
+    db = TransactionDatabase([[0, 1], [0, 1, 2, 4, 5], [0, 3], [0, 2, 3], [1, 3, 4, 5]], 6)
+    window = dict(min_support=0, min_size=2)
+    ranking = [(pos, key.items, key.support, key.describe()) for pos, key in
+               enumerate(sort_keys(family_keys(db, PredicateKind.FREE, **window)), start=1)]
+    assert len(ranking) > 11
+    for k in range(1, len(ranking) + 2):
+        assert rows(top_k(db, PredicateKind.FREE, k, **window)) == ranking[:k], k
 
 
 def test_equal_keys_are_ordered_by_itemset():
